@@ -1,11 +1,13 @@
-"""Vectorized statistic evaluation across many streams or steps.
+"""The incremental statistic engines: one per statistic, many streams at once.
 
-Two consumers: threshold calibration advances thousands of pseudo-null
-streams in lockstep (one ring-buffer column per step), and the Monte Carlo
-harness evaluates one stream's sliding windows a chunk of steps at a time.
-Both paths compute statistics with the same floating-point expressions as
-the per-step engines in :mod:`seqshift.statistics`, so a vectorized run
-and a stepped run of the same stream agree bitwise.
+A ``Batch*Engine`` advances any number of sliding windows in lockstep (one
+ring-buffer column per step).  Threshold calibration runs thousands of
+pseudo-null streams through one engine, and the deployed detector is the
+one-row case of the same engine, so the statistic a detector computes is
+the one calibration ranked.  Every per-row expression is independent of
+the number of rows, and the ``sliding_*_stats`` scans the Monte Carlo
+harness uses on scalar streams repeat the engines' expressions, so a
+vectorized run and a stepped run of the same stream agree bitwise.
 """
 
 from __future__ import annotations
@@ -14,14 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .statistics import (
-    DEFAULT_REFRESH_EVERY,
-    KS,
-    MEAN_DIFF,
-    MMD,
-    Kernel,
-    ReferenceSet,
-)
+from .statistics import KS, MEAN_DIFF, MMD, Kernel, ReferenceSet
 
 
 def ks_stats_from_count_rows(
@@ -32,8 +27,7 @@ def ks_stats_from_count_rows(
     The reference counts are non-decreasing functions of the value, so
     sorting a window's counts as integers recovers them in value order (a
     sort of the values themselves is never needed); the per-element
-    expressions mirror the scalar path in ``statistics._ks_from_counts``
-    bitwise.
+    expressions mirror the plain ``statistics._ks_from_counts`` bitwise.
     """
     left_sorted = np.sort(left_rows, axis=1)
     right_sorted = np.sort(right_rows, axis=1)
@@ -106,30 +100,37 @@ class BatchKsEngine:
 
 
 class BatchMeanDiffEngine:
-    """Lockstep sliding windows for many streams, mean-difference statistic."""
+    """Lockstep sliding windows for many streams, mean-difference statistic.
+
+    Each value is stored twice, w slots apart, so every window is one
+    contiguous slice in arrival order and is summed in the order the
+    sliding scan uses.
+    """
 
     def __init__(self, reference: ReferenceSet, w: int, n_streams: int):
         if reference.dim != 1:
             raise ValueError("the mean difference requires scalar summaries")
         self.reference = reference
         self.w = w
-        self._buffer = np.zeros((n_streams, w), dtype=np.float64)
+        self._buffer = np.zeros((n_streams, 2 * w), dtype=np.float64)
         self._size = 0
         self._head = 0
 
     def push_column(self, col: np.ndarray, active: Optional[np.ndarray]) -> None:
         col = np.asarray(col, dtype=np.float64).reshape(-1)
         if self._size < self.w:
-            self._buffer[:, self._size] = col
+            slot = self._size
             self._size += 1
         else:
-            self._buffer[:, self._head] = col
+            slot = self._head
             self._head = (self._head + 1) % self.w
+        self._buffer[:, slot] = col
+        self._buffer[:, slot + self.w] = col
 
     def statistics(self, active: np.ndarray) -> np.ndarray:
         if self._size < self.w:
             raise RuntimeError("windows not yet full")
-        sums = np.sum(self._buffer[active], axis=1)
+        sums = self._buffer[active, self._head : self._head + self.w].sum(axis=1)
         return self.reference.scalar_mean - sums / self.w
 
 
@@ -137,28 +138,24 @@ class BatchMmdEngine:
     """Lockstep sliding windows for many streams, unbiased squared MMD.
 
     Maintains each stream's window self-sum and reference cross-sum
-    incrementally (O(n + w) kernel evaluations per stream per step); the
-    reference self-sum is shared by all streams.  Sums are rebuilt from
-    the buffers every ``refresh_every`` pushes to bound float drift.
+    incrementally (O(n + w) kernel evaluations per stream per step); each
+    slot's reference cross sum is stored, so an eviction subtracts it
+    without re-evaluating the kernel.  The reference self-sum is shared by
+    all streams.  Sums are rebuilt from the buffers every
+    ``_REFRESH_EVERY`` pushes to bound float drift.
     """
 
     _CROSS_CHUNK = 1024
+    _REFRESH_EVERY = 10_000
 
-    def __init__(
-        self,
-        reference: ReferenceSet,
-        w: int,
-        n_streams: int,
-        kernel: Kernel,
-        refresh_every: int = DEFAULT_REFRESH_EVERY,
-    ):
+    def __init__(self, reference: ReferenceSet, w: int, n_streams: int, kernel: Kernel):
         if w < 2:
             raise ValueError("the MMD statistic needs window size >= 2")
         self.reference = reference
         self.w = w
         self.kernel = kernel
-        self.refresh_every = refresh_every
         self._buffer = np.zeros((n_streams, w, reference.dim), dtype=np.float64)
+        self._slot_cross = np.zeros((n_streams, w), dtype=np.float64)
         self._b_sums = np.zeros(n_streams, dtype=np.float64)
         self._c_sums = np.zeros(n_streams, dtype=np.float64)
         self._size = 0
@@ -169,20 +166,26 @@ class BatchMmdEngine:
     def _rowwise_kernel(self, points: np.ndarray, windows: np.ndarray) -> np.ndarray:
         """k(points[i], windows[i, j]) for each row i -> (rows, window_len)."""
         if self.kernel.kind == "rbf":
-            sq = np.sum((windows - points[:, None, :]) ** 2, axis=-1)
+            # C order keeps each row's reductions independent of the row count
+            diff = np.subtract(windows, points[:, None, :], order="C")
+            sq = np.sum(diff**2, axis=-1)
             return np.exp(sq / (-2.0 * self.kernel.bandwidth**2))
         if self.kernel.kind == "linear":
             return np.einsum("rd,rwd->rw", points, windows)
         return np.ones(windows.shape[:2], dtype=np.float64)
 
     def _cross_sums(self, points: np.ndarray) -> np.ndarray:
-        """sum_i k(x_i, p) over the reference for each point p -> (rows,)."""
+        """sum_i k(p, x_i) over the reference for each point p -> (rows,).
+
+        Each point's sum reduces its own kernel row, so the value does not
+        depend on how many points share the block.
+        """
         out = np.empty(points.shape[0], dtype=np.float64)
         for lo in range(0, points.shape[0], self._CROSS_CHUNK):
             block = points[lo : lo + self._CROSS_CHUNK]
             out[lo : lo + self._CROSS_CHUNK] = self.kernel.matrix(
-                self.reference.values, block
-            ).sum(axis=0)
+                block, self.reference.values
+            ).sum(axis=1)
         return out
 
     def push_column(self, col: np.ndarray, active: Optional[np.ndarray]) -> None:
@@ -190,29 +193,31 @@ class BatchMmdEngine:
         if col.ndim == 1:
             col = col[:, None]
         rows = slice(None) if active is None else active
+        cross = self._cross_sums(col[rows])
         if self._size < self.w:
+            slot = self._size
             if self._size > 0:
                 others = self._buffer[rows, : self._size]
                 k_new = self._rowwise_kernel(col[rows], others)
                 self._b_sums[rows] += 2.0 * k_new.sum(axis=1)
-            self._c_sums[rows] += self._cross_sums(col[rows])
-            self._buffer[:, self._size] = col
             self._size += 1
         else:
+            slot = self._head
             mask = np.ones(self.w, dtype=bool)
-            mask[self._head] = False
-            old = self._buffer[rows, self._head]
+            mask[slot] = False
+            old = self._buffer[rows, slot]
             others = self._buffer[rows][:, mask]
             k_old = self._rowwise_kernel(old, others)
             self._b_sums[rows] -= 2.0 * k_old.sum(axis=1)
-            self._c_sums[rows] -= self._cross_sums(old)
+            self._c_sums[rows] -= self._slot_cross[rows, slot]
             k_new = self._rowwise_kernel(col[rows], others)
             self._b_sums[rows] += 2.0 * k_new.sum(axis=1)
-            self._c_sums[rows] += self._cross_sums(col[rows])
-            self._buffer[:, self._head] = col
             self._head = (self._head + 1) % self.w
+        self._c_sums[rows] += cross
+        self._slot_cross[rows, slot] = cross
+        self._buffer[:, slot] = col
         self._pushes_since_refresh += 1
-        if self._pushes_since_refresh >= self.refresh_every:
+        if self._pushes_since_refresh >= self._REFRESH_EVERY:
             self.refresh_sums(np.arange(self._buffer.shape[0]) if active is None else active)
 
     def refresh_sums(self, active: np.ndarray) -> None:
@@ -220,7 +225,8 @@ class BatchMmdEngine:
             vals = self._buffer[i, : self._size]
             K = self.kernel.matrix(vals, vals)
             self._b_sums[i] = float(K.sum() - np.trace(K))
-            self._c_sums[i] = float(self.kernel.matrix(self.reference.values, vals).sum())
+            self._slot_cross[i, : self._size] = self._cross_sums(vals)
+            self._c_sums[i] = float(self._slot_cross[i, : self._size].sum())
         self._pushes_since_refresh = 0
 
     def statistics(self, active: np.ndarray) -> np.ndarray:

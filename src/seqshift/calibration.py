@@ -23,7 +23,7 @@ import numpy as np
 
 from . import rng
 from .batch import make_batch_engine
-from .statistics import KS, MEAN_DIFF, MMD, STATISTIC_KINDS, Kernel, ReferenceSet
+from .statistics import KS, MEAN_DIFF, MMD, STATISTIC_KINDS, Kernel, ReferenceSet, _ks_from_counts
 
 FIXED = "fixed"
 TIME_VARYING = "time_varying"
@@ -257,10 +257,7 @@ def permutation_threshold(
             if statistic == KS:
                 left = np.searchsorted(pseudo_ref, win, side="left")
                 right = np.searchsorted(pseudo_ref, win, side="right")
-                ranks = np.arange(1, w + 1, dtype=np.float64)
-                d_plus = np.max(ranks / w - right / (n - w))
-                d_minus = np.max(left / (n - w) - (ranks - 1.0) / w)
-                stats[b] = max(d_plus, d_minus)
+                stats[b] = _ks_from_counts(left, right, n - w, w)
             else:
                 stats[b] = float(pseudo_ref.mean() - win.mean())
 

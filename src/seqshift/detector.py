@@ -3,8 +3,11 @@ threshold comparison.
 
 Each arriving instance is summarised, pushed into the sliding window, and
 -- once the window is full -- the configured two-sample statistic against
-the reference is compared to the threshold schedule.  Detection is a halt
-state: a detector that has fired refuses further steps.
+the reference is compared to the threshold schedule.  The statistic comes
+from a one-row lockstep engine (:func:`seqshift.batch.make_batch_engine`),
+the engine calibration runs, so the deployed detector computes exactly
+what calibration ranked.  Detection is a halt state: a detector that has
+fired refuses further steps.
 """
 
 from __future__ import annotations
@@ -12,9 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
+import numpy as np
+
+from .batch import make_batch_engine
 from .calibration import ThresholdSchedule
 from .statistics import (
-    DEFAULT_REFRESH_EVERY,
     KS,
     MEAN_DIFF,
     MMD,
@@ -39,7 +44,6 @@ class DetectorConfig:
     statistic: str = KS
     summary: SummaryStatistic = None
     kernel: Optional[Kernel] = None
-    refresh_every: int = DEFAULT_REFRESH_EVERY
 
     def __post_init__(self):
         if self.summary is None:
@@ -90,6 +94,22 @@ class DetectionResult:
         return self.detection_time - self.w + 1
 
 
+def recompute_statistic(config: DetectorConfig, window: SlidingWindow) -> float:
+    """The configured statistic recomputed from the window contents alone.
+
+    Uses the plain definitions in :mod:`seqshift.statistics`, not the
+    incremental engine; an oracle for what a detector reports.
+    """
+    if config.statistic == KS:
+        return ks_distance(config.reference, window)
+    if config.statistic == MEAN_DIFF:
+        return mean_difference(config.reference, window)
+    return mmd2_u(config.reference, window, config.kernel)
+
+
+_ONE_ROW = np.zeros(1, dtype=np.intp)
+
+
 class Detector:
     """Single-owner sequential detector state."""
 
@@ -98,23 +118,10 @@ class Detector:
         self.t = 0
         self.last_statistic: Optional[float] = None
         self.detected_at: Optional[int] = None
-        ref = config.reference
-        self.window = SlidingWindow(
-            capacity=config.window_size,
-            dim=ref.dim,
-            ks_reference=ref if config.statistic == KS else None,
-            kernel=config.kernel if config.statistic == MMD else None,
-            kernel_reference=ref if config.statistic == MMD else None,
-            refresh_every=config.refresh_every,
+        self.window = SlidingWindow(config.window_size, config.reference.dim)
+        self._engine = make_batch_engine(
+            config.statistic, config.reference, config.window_size, 1, config.kernel
         )
-
-    def _compute_statistic(self) -> float:
-        cfg = self.config
-        if cfg.statistic == KS:
-            return ks_distance(cfg.reference, self.window)
-        if cfg.statistic == MEAN_DIFF:
-            return mean_difference(cfg.reference, self.window)
-        return mmd2_u(cfg.reference, self.window, cfg.kernel)
 
     def step(self, x, y=None) -> bool:
         """Consume one instance; True when this step fires a detection.
@@ -126,13 +133,13 @@ class Detector:
             raise RuntimeError(
                 "detector has already fired; adaptation/restart is out of scope"
             )
-        s = apply_summary(self.config.summary, x, y)
-        self.window.push(s)
+        s = self.window.push(apply_summary(self.config.summary, x, y))
+        self._engine.push_column(s[None, :], None)
         self.t += 1
         threshold = self.config.schedule.threshold_at(self.t)
         if threshold is None:
             return False
-        stat = self._compute_statistic()
+        stat = float(self._engine.statistics(_ONE_ROW)[0])
         self.last_statistic = stat
         if stat > threshold:
             self.detected_at = self.t

@@ -22,7 +22,7 @@ from . import detector as detector_mod
 from . import streams
 from .batch import sliding_ks_stats, sliding_mean_diff_stats
 from .calibration import ThresholdSchedule
-from .statistics import DEFAULT_REFRESH_EVERY, KS, MEAN_DIFF, Kernel, ReferenceSet
+from .statistics import KS, MEAN_DIFF, Kernel, ReferenceSet
 from .streams import ChangePointModel, DistributionSpec
 from .summaries import SummaryStatistic, identity
 
@@ -113,7 +113,6 @@ class _RunContext:
     cap: int
     summary: SummaryStatistic
     kernel: Optional[Kernel]
-    refresh_every: int
     reference_values: Optional[np.ndarray]
     reference_spec: Optional[DistributionSpec]
     reference_size: Optional[int]
@@ -187,7 +186,6 @@ def _stepped_detection_time(
         statistic=ctx.statistic,
         summary=ctx.summary,
         kernel=ctx.kernel,
-        refresh_every=ctx.refresh_every,
     )
 
     def stream():
@@ -237,7 +235,6 @@ def _build_context(
     reference: Optional[ReferenceSet],
     reference_spec: Optional[DistributionSpec],
     reference_size: Optional[int],
-    refresh_every: int,
 ) -> _RunContext:
     if (reference is None) == (reference_spec is None):
         raise ValueError("pass exactly one of reference / reference_spec")
@@ -264,7 +261,6 @@ def _build_context(
         cap=cap,
         summary=summary,
         kernel=kernel,
-        refresh_every=refresh_every,
         reference_values=None if reference is None else reference.values,
         reference_spec=reference_spec,
         reference_size=reference_size,
@@ -285,7 +281,6 @@ def estimate_arl0(
     reference_size: Optional[int] = None,
     workers: int = 1,
     lam: Optional[int] = None,
-    refresh_every: int = DEFAULT_REFRESH_EVERY,
 ) -> RunLengthReport:
     """Run-length-to-false-detection distribution on null streams.
 
@@ -298,7 +293,7 @@ def estimate_arl0(
         raise ValueError("n_runs must be >= 1")
     ctx = _build_context(
         schedule, null_model, cap, master_seed, statistic, summary, kernel,
-        reference, reference_spec, reference_size, refresh_every,
+        reference, reference_spec, reference_size,
     )
     results = _collect_detection_times(ctx, n_runs, workers)
 
@@ -349,7 +344,6 @@ def estimate_delay(
     reference_spec: Optional[DistributionSpec] = None,
     reference_size: Optional[int] = None,
     workers: int = 1,
-    refresh_every: int = DEFAULT_REFRESH_EVERY,
 ) -> DelayReport:
     """Detection-delay distribution around a finite change point.
 
@@ -367,7 +361,7 @@ def estimate_delay(
         raise ValueError("n_runs must be >= 1")
     ctx = _build_context(
         schedule, model, cap, master_seed, statistic, summary, kernel,
-        reference, reference_spec, reference_size, refresh_every,
+        reference, reference_spec, reference_size,
     )
     results = _collect_detection_times(ctx, n_runs, workers)
 

@@ -2,10 +2,11 @@
 
 Three statistics are provided: the Kolmogorov-Smirnov distance and the
 mean difference for scalar summaries, and the unbiased squared-MMD
-U-statistic for any dimension.  Each has an exact definition plus a
-sequential update path cheap enough to run once per stream step; cached
-state is refreshed by full recomputation every ``refresh_every`` pushes to
-bound floating-point drift (agreement contract: 1e-9 relative).
+U-statistic for any dimension.  The functions here compute each one
+exactly from a window's contents; they are the plain reference
+definitions.  The incremental engines that calibration, the Monte Carlo
+harness and the deployed detector all run live in :mod:`seqshift.batch`
+and agree with these to 1e-9 relative.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ KS = "ks"
 MMD = "mmd"
 MEAN_DIFF = "mean_diff"
 STATISTIC_KINDS = (KS, MMD, MEAN_DIFF)
-
-DEFAULT_REFRESH_EVERY = 10_000
 
 # Exact median of every pairwise distance needs n(n-1)/2 floats in memory.
 _MEDIAN_HEURISTIC_MAX_PAIRS = 120_000_000
@@ -128,50 +127,21 @@ class ReferenceSet:
 
 
 class SlidingWindow:
-    """Ring buffer of the most recent summaries with incremental caches.
+    """Ring buffer of the most recent summaries; a validated FIFO.
 
-    Bind ``ks_reference`` to maintain the sorted view and per-value
-    reference-CDF counts the KS distance needs, and/or ``kernel`` plus
-    ``kernel_reference`` to maintain the window and cross kernel sums the
-    MMD statistic needs.  Single-owner mutable state: one window per
-    detector run.
+    Holds contents only: statistics come from the engines in
+    :mod:`seqshift.batch` or, from the contents, from the functions below.
+    Single-owner mutable state: one window per detector run.
     """
 
-    def __init__(
-        self,
-        capacity: int,
-        dim: int = 1,
-        ks_reference: Optional[ReferenceSet] = None,
-        kernel: Optional[Kernel] = None,
-        kernel_reference: Optional[ReferenceSet] = None,
-        refresh_every: int = DEFAULT_REFRESH_EVERY,
-    ):
+    def __init__(self, capacity: int, dim: int = 1):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if refresh_every < 1:
-            raise ValueError("refresh_every must be >= 1")
-        if ks_reference is not None and dim != 1:
-            raise ValueError("the KS distance is univariate; dim must be 1")
-        if (kernel is None) != (kernel_reference is None):
-            raise ValueError("kernel and kernel_reference must be given together")
         self.capacity = capacity
         self.dim = dim
         self._buffer = np.zeros((capacity, dim), dtype=np.float64)
         self._head = 0
         self._size = 0
-        self.refresh_every = refresh_every
-        self._pushes_since_refresh = 0
-
-        self.ks_reference = ks_reference
-        if ks_reference is not None:
-            self._sorted = np.empty(0, dtype=np.float64)
-            self._left_counts = np.empty(0, dtype=np.int64)
-            self._right_counts = np.empty(0, dtype=np.int64)
-
-        self.kernel = kernel
-        self.kernel_reference = kernel_reference
-        self.window_kernel_sum = 0.0  # sum over ordered pairs i != j in the window
-        self.cross_kernel_sum = 0.0  # sum over (reference, window) pairs
 
     def __len__(self) -> int:
         return self._size
@@ -193,95 +163,23 @@ class SlidingWindow:
             raise ValueError("window is not scalar")
         return self.values()[:, 0]
 
-    def push(self, summary) -> None:
-        """Append a summary, evicting the oldest when at capacity."""
+    def push(self, summary) -> np.ndarray:
+        """Append a summary, evicting the oldest when at capacity.
+
+        Returns the summary as stored: a float64 array of shape (dim,).
+        """
         s = np.atleast_1d(np.asarray(summary, dtype=np.float64))
         if s.shape != (self.dim,):
             raise ValueError(f"summary has shape {s.shape}, window holds dimension {self.dim}")
-        if not np.all(np.isfinite(s)):
+        if not np.isfinite(s).all():
             raise ValueError("summary must be finite")
-
         if self._size == self.capacity:
-            old = self._buffer[self._head].copy()
-            if self.kernel is not None:
-                others = self._values_excluding(self._head)
-                self._kernel_remove(old, others)
-            if self.ks_reference is not None:
-                self._ks_remove(old[0])
             self._buffer[self._head] = s
             self._head = (self._head + 1) % self.capacity
-            if self.kernel is not None:
-                self._kernel_add(s, others)
         else:
-            if self.kernel is not None:
-                others = self._buffer[: self._size].copy()
-                self._kernel_add(s, others)
-            self._buffer[(self._head + self._size) % self.capacity] = s
+            self._buffer[self._size] = s
             self._size += 1
-        if self.ks_reference is not None:
-            self._ks_insert(s[0])
-
-        if self.kernel is not None:
-            self._pushes_since_refresh += 1
-            if self._pushes_since_refresh >= self.refresh_every:
-                self.refresh_kernel_sums()
-
-    def _values_excluding(self, index: int) -> np.ndarray:
-        mask = np.ones(self._size, dtype=bool)
-        # ring positions 0.._size-1 are all live when full
-        mask[index] = False
-        return self._buffer[: self._size][mask]
-
-    # -- scalar sort / reference-count maintenance ------------------------
-
-    def _ks_insert(self, v: float) -> None:
-        ref = self.ks_reference
-        pos = int(np.searchsorted(self._sorted, v))
-        self._sorted = np.insert(self._sorted, pos, v)
-        self._left_counts = np.insert(
-            self._left_counts, pos, np.searchsorted(ref.sorted_values, v, side="left")
-        )
-        self._right_counts = np.insert(
-            self._right_counts, pos, np.searchsorted(ref.sorted_values, v, side="right")
-        )
-
-    def _ks_remove(self, v: float) -> None:
-        pos = int(np.searchsorted(self._sorted, v, side="left"))
-        if pos >= self._sorted.shape[0] or self._sorted[pos] != v:
-            raise RuntimeError("sorted view out of sync with window buffer")
-        self._sorted = np.delete(self._sorted, pos)
-        self._left_counts = np.delete(self._left_counts, pos)
-        self._right_counts = np.delete(self._right_counts, pos)
-
-    # -- kernel sum maintenance -------------------------------------------
-
-    def _kernel_remove(self, old: np.ndarray, others: np.ndarray) -> None:
-        if others.shape[0]:
-            self.window_kernel_sum -= 2.0 * float(
-                self.kernel.matrix(old[None, :], others).sum()
-            )
-        self.cross_kernel_sum -= float(
-            self.kernel.matrix(self.kernel_reference.values, old[None, :]).sum()
-        )
-
-    def _kernel_add(self, new: np.ndarray, others: np.ndarray) -> None:
-        if others.shape[0]:
-            self.window_kernel_sum += 2.0 * float(
-                self.kernel.matrix(new[None, :], others).sum()
-            )
-        self.cross_kernel_sum += float(
-            self.kernel.matrix(self.kernel_reference.values, new[None, :]).sum()
-        )
-
-    def refresh_kernel_sums(self) -> None:
-        """Recompute the kernel sums from the buffer contents."""
-        vals = self.values()
-        K = self.kernel.matrix(vals, vals)
-        self.window_kernel_sum = float(K.sum() - np.trace(K))
-        self.cross_kernel_sum = float(
-            self.kernel.matrix(self.kernel_reference.values, vals).sum()
-        )
-        self._pushes_since_refresh = 0
+        return s
 
 
 def _ks_from_counts(
@@ -309,10 +207,6 @@ def ks_distance(reference: ReferenceSet, window: SlidingWindow) -> float:
     m = len(window)
     if m == 0:
         raise ValueError("window is empty")
-    if window.ks_reference is reference:
-        return _ks_from_counts(
-            window._left_counts, window._right_counts, reference.n, m
-        )
     wsort = np.sort(window.scalar_values())
     left = np.searchsorted(reference.sorted_values, wsort, side="left")
     right = np.searchsorted(reference.sorted_values, wsort, side="right")
@@ -340,13 +234,9 @@ def mmd2_u(reference: ReferenceSet, window: SlidingWindow, kernel: Kernel) -> fl
     m = len(window)
     if n < 2 or m < 2:
         raise ValueError("mmd2_u needs at least 2 points on each side")
-    if window.kernel is kernel and window.kernel_reference is reference:
-        b = window.window_kernel_sum
-        c = window.cross_kernel_sum
-    else:
-        vals = window.values()
-        K = kernel.matrix(vals, vals)
-        b = float(K.sum() - np.trace(K))
-        c = float(kernel.matrix(reference.values, vals).sum())
+    vals = window.values()
+    K = kernel.matrix(vals, vals)
+    b = float(K.sum() - np.trace(K))
+    c = float(kernel.matrix(reference.values, vals).sum())
     a = reference.kernel_self_sum(kernel)
     return a / (n * (n - 1)) + b / (m * (m - 1)) - 2.0 * c / (n * m)

@@ -131,5 +131,3 @@ def cross_entropy_loss(y, probs) -> float:
     if not 0 <= idx < probs.shape[0]:
         raise ValueError(f"label {idx} out of range for {probs.shape[0]} classes")
     return float(-np.log(max(probs[idx], 1e-300)))
-
-LOSSES = {"squared_error": squared_error_loss, "cross_entropy": cross_entropy_loss}

@@ -3,6 +3,15 @@ import pytest
 
 from seqshift import DistributionSpec, ReferenceSet, draw_reference
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # fixed examples, no example database: every run checks the same cases
+    settings.register_profile("deterministic", derandomize=True, database=None)
+    settings.load_profile("deterministic")
+
 
 @pytest.fixture(scope="session")
 def std_normal():

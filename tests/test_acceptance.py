@@ -29,8 +29,16 @@ from seqshift import (
     mmd2_u,
     null_model,
 )
+from seqshift.batch import BatchMmdEngine, make_batch_engine
 from seqshift.cli import main
-from tests.test_statistics import brute_ks, brute_mmd2_u, window_from
+from tests.test_statistics import (
+    ONE_ROW,
+    brute_ks,
+    brute_mmd2_u,
+    engine_from,
+    fresh_kernel_sums,
+    window_from,
+)
 
 STD_NORMAL = DistributionSpec.gaussian(0.0, 1.0)
 
@@ -196,9 +204,12 @@ class TestCriterion4StatisticOracles:
             ref_vals = np.round(gen.normal(size=n), 1)  # ties on purpose
             win_vals = np.round(gen.normal(size=m), 1)
             reference = ReferenceSet(ref_vals)
-            window = window_from(win_vals, ks_reference=reference)
-            assert ks_distance(reference, window) == brute_ks(ref_vals, win_vals)
-        assert verdict("4-ks", True, "ks_distance == brute force on 500 instances")
+            want = brute_ks(ref_vals, win_vals)
+            assert ks_distance(reference, window_from(win_vals)) == want
+            assert engine_from("ks", reference, win_vals).statistics(ONE_ROW)[0] == want
+        assert verdict(
+            "4-ks", True, "ks_distance and the KS engine == brute force on 500 instances"
+        )
 
     def test_mmd_close_on_500_instances(self):
         gen = np.random.default_rng(1405)
@@ -219,36 +230,32 @@ class TestCriterion4StatisticOracles:
             "4-mmd", True, f"mmd2_u within 1e-9 of brute force (worst {worst:.2e})"
         )
 
-    def test_incremental_mmd_over_ten_thousand_slides(self):
-        """Cached sums stay within 1e-9 relative of full recomputation.
+    def test_incremental_mmd_over_ten_thousand_slides(self, monkeypatch):
+        """The engine's running sums stay within 1e-9 relative of full
+        recomputation, with the periodic refresh pushed out of reach.
 
         The statistic itself is an unbiased estimate that crosses zero
         under the null, so its agreement is asserted at 1e-9 relative to
         its unit scale (RBF kernel terms are bounded by 1) rather than to
         a denominator that vanishes.
         """
+        monkeypatch.setattr(BatchMmdEngine, "_REFRESH_EVERY", 100_000)
         gen = np.random.default_rng(1406)
         reference = ReferenceSet(gen.normal(size=(50, 1)))
         kernel = Kernel("rbf", bandwidth=1.1)
-        incremental = SlidingWindow(
-            capacity=30, kernel=kernel, kernel_reference=reference,
-            refresh_every=100_000,
-        )
-        recomputed = SlidingWindow(
-            capacity=30, kernel=kernel, kernel_reference=reference, refresh_every=1
-        )
+        incremental = make_batch_engine("mmd", reference, 30, 1, kernel)
+        recomputed = SlidingWindow(capacity=30)
         worst_sum = worst_value = 0.0
         for i, v in enumerate(gen.normal(size=10_000)):
-            incremental.push(v)
+            incremental.push_column(np.array([[v]]), None)
             recomputed.push(v)
             if i >= 29:
+                b_want, c_want = fresh_kernel_sums(kernel, reference, recomputed.values())
                 sum_err = max(
-                    abs(incremental.window_kernel_sum - recomputed.window_kernel_sum)
-                    / abs(recomputed.window_kernel_sum),
-                    abs(incremental.cross_kernel_sum - recomputed.cross_kernel_sum)
-                    / abs(recomputed.cross_kernel_sum),
+                    abs(incremental._b_sums[0] - b_want) / abs(b_want),
+                    abs(incremental._c_sums[0] - c_want) / abs(c_want),
                 )
-                a = mmd2_u(reference, incremental, kernel)
+                a = incremental.statistics(ONE_ROW)[0]
                 b = mmd2_u(reference, recomputed, kernel)
                 value_err = abs(a - b) / max(1.0, abs(b))
                 worst_sum = max(worst_sum, sum_err)

@@ -107,7 +107,7 @@ class TestPermutationThreshold:
             mask = np.ones(30, dtype=bool)
             mask[win_idx] = False
             pseudo_ref = ReferenceSet(X[mask])
-            win = window_from(X[win_idx], kernel=kernel, kernel_reference=pseudo_ref)
+            win = window_from(X[win_idx])
             stats.append(mmd2_u(pseudo_ref, win, kernel))
         assert sched.fixed_h == pytest.approx(
             high_order_statistic(np.array(stats), 0.5), rel=1e-9, abs=1e-12

@@ -17,6 +17,9 @@ from seqshift import (
     null_model,
     run,
 )
+from seqshift.batch import BatchMmdEngine
+from seqshift.detector import recompute_statistic
+from seqshift.statistics import SlidingWindow
 from seqshift.summaries import SummaryStatistic, squared_error_loss
 
 
@@ -28,6 +31,17 @@ def ks_config(reference, w, h, **kwargs):
         statistic="ks",
         **kwargs,
     )
+
+
+def recomputed_detection_time(config, stream, cap):
+    """Detection step with the statistic recomputed from scratch each step."""
+    window = SlidingWindow(config.window_size, config.reference.dim)
+    for t, x in enumerate(stream[:cap], start=1):
+        window.push(x)
+        h = config.schedule.threshold_at(t)
+        if h is not None and recompute_statistic(config, window) > h:
+            return t
+    return None
 
 
 class TestStep:
@@ -118,8 +132,9 @@ class TestRun:
 
 
 class TestEquivalence:
-    def test_incremental_equals_recompute_over_random_configs(self, std_normal):
-        """Same detection step with incremental caches and per-step rebuilds."""
+    def test_incremental_equals_recompute_over_random_configs(self, std_normal, monkeypatch):
+        """Same detection step from the engine, from the engine with per-step
+        rebuilds of its MMD sums, and from plain per-step recomputation."""
         rng = np.random.default_rng(99)
         shifted = DistributionSpec.gaussian(0.6, 1.2)
         checked = 0
@@ -143,18 +158,19 @@ class TestEquivalence:
             model = ChangePointModel(std_normal, shifted, int(rng.integers(1, cap + 1)))
             stream = generate_stream(model, cap, master_seed=1000 + trial)
 
-            results = []
-            for refresh_every in (10_000, 1):
-                config = DetectorConfig(
-                    reference=reference,
-                    schedule=fixed_threshold(h, w=w),
-                    window_size=w,
-                    statistic=statistic,
-                    kernel=kernel if statistic == "mmd" else None,
-                    refresh_every=refresh_every,
-                )
+            config = DetectorConfig(
+                reference=reference,
+                schedule=fixed_threshold(h, w=w),
+                window_size=w,
+                statistic=statistic,
+                kernel=kernel if statistic == "mmd" else None,
+            )
+            results = [run(config, stream, cap=cap).detection_time]
+            with monkeypatch.context() as patch:
+                patch.setattr(BatchMmdEngine, "_REFRESH_EVERY", 1)
                 results.append(run(config, stream, cap=cap).detection_time)
-            assert results[0] == results[1], (trial, statistic, n, w, h)
+            results.append(recomputed_detection_time(config, stream, cap))
+            assert results[0] == results[1] == results[2], (trial, statistic, n, w, h)
             checked += 1
         assert checked == 100
 

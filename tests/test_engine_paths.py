@@ -1,0 +1,112 @@
+"""One statistic, three paths: the detector, an N-row engine, the sliding scan.
+
+The detector steps a one-row engine, calibration advances many rows of the
+same engine in lockstep (dropping eliminated rows), and the Monte Carlo
+fast path scans scalar streams with ``sliding_*_stats``.  All three must
+produce the same bits, and all must match the plain definitions in
+``seqshift.statistics``.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from seqshift import Detector, DetectorConfig, Kernel, ReferenceSet, fixed_threshold
+from seqshift.batch import make_batch_engine, sliding_ks_stats, sliding_mean_diff_stats
+from seqshift.detector import recompute_statistic
+from seqshift.statistics import SlidingWindow
+
+SLIDING = {"ks": sliding_ks_stats, "mean_diff": sliding_mean_diff_stats}
+
+
+@st.composite
+def cases(draw):
+    statistic = draw(st.sampled_from(("ks", "mean_diff", "mmd")))
+    mmd = statistic == "mmd"
+    return dict(
+        statistic=statistic,
+        n=draw(st.integers(2, 60)),
+        w=draw(st.integers(2 if mmd else 1, 30)),
+        d=draw(st.integers(1, 4)) if mmd else 1,
+        rows=draw(st.integers(1, 4)),
+        extra_steps=draw(st.integers(0, 50)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        # rounding makes ties between window and reference values
+        decimals=draw(st.sampled_from((1, 3, None))),
+    )
+
+
+def detector_sequence(config, stream):
+    """The statistic a detector reports on every test step of ``stream``."""
+    detector = Detector(config)
+    out = []
+    for x in stream:
+        detector.step(x)
+        if detector.t >= config.window_size:
+            out.append(detector.last_statistic)
+    return np.array(out)
+
+
+def lockstep_sequences(config, streams, gen):
+    """Every row's statistics from one engine, eliminating rows as calibration does."""
+    rows, steps, _ = streams.shape
+    w = config.window_size
+    engine = make_batch_engine(config.statistic, config.reference, w, rows, config.kernel)
+    out = [[] for _ in range(rows)]
+    active = np.arange(rows)
+    for t in range(steps):
+        if t < w - 1:
+            engine.push_column(streams[:, t], None)
+            continue
+        engine.push_column(streams[:, t], active)
+        for row, value in zip(active, engine.statistics(active)):
+            out[row].append(value)
+        if active.shape[0] > 1 and gen.random() < 0.1:
+            active = np.delete(active, gen.integers(active.shape[0]))
+    return [np.array(o) for o in out]
+
+
+def oracle_sequence(config, stream):
+    window = SlidingWindow(config.window_size, config.reference.dim)
+    out = []
+    for x in stream:
+        window.push(x)
+        if window.is_full:
+            out.append(recompute_statistic(config, window))
+    return np.array(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases())
+def test_detector_engine_and_sliding_scan_agree_bitwise(case):
+    gen = np.random.default_rng(case["seed"])
+    statistic, w, d, rows = case["statistic"], case["w"], case["d"], case["rows"]
+    ref_values = gen.normal(size=(case["n"], d))
+    streams = gen.normal(0.3, 1.2, size=(rows, w + case["extra_steps"], d))
+    if case["decimals"] is not None:
+        ref_values = np.round(ref_values, case["decimals"])
+        streams = np.round(streams, case["decimals"])
+    reference = ReferenceSet(ref_values)
+    config = DetectorConfig(
+        reference=reference,
+        schedule=fixed_threshold(math.inf, w),
+        window_size=w,
+        statistic=statistic,
+        kernel=Kernel("rbf", bandwidth=float(gen.uniform(0.3, 3.0))) if statistic == "mmd" else None,
+    )
+
+    lockstep = lockstep_sequences(config, streams, gen)
+    for row in range(rows):
+        stepped = detector_sequence(config, streams[row])
+        assert stepped.shape == (streams.shape[1] - w + 1,)
+        # rows eliminated early stop reporting, like calibration streams
+        assert np.array_equal(lockstep[row], stepped[: lockstep[row].shape[0]])
+        if statistic in SLIDING:
+            assert np.array_equal(SLIDING[statistic](streams[row, :, 0], reference, w), stepped)
+        oracle = oracle_sequence(config, streams[row])
+        assert np.all(np.abs(stepped - oracle) <= 1e-9 * np.maximum(1.0, np.abs(oracle)))

@@ -92,7 +92,7 @@ class TestEstimateArl0:
             sched = fixed_threshold(h, w=25, alpha=None)
             ctx = evaluation._build_context(
                 sched, null_model(std_normal), 1500, 77, statistic, None, None,
-                ref, None, None, 10_000,
+                ref, None, None,
             )
             for run_id in range(15):
                 fast = evaluation._fast_detection_time(ctx, ref, run_id)

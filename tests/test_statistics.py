@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from seqshift.batch import BatchMmdEngine, make_batch_engine
 from seqshift.statistics import (
     Kernel,
     ReferenceSet,
@@ -45,16 +46,26 @@ def brute_mmd2_u(kernel, X, Y):
     return a / (n * (n - 1)) + b / (m * (m - 1)) - 2.0 * c / (n * m)
 
 
-def window_from(values, capacity=None, **kwargs):
+def window_from(values, capacity=None):
     values = np.asarray(values, dtype=np.float64)
     if values.ndim == 1:
         values = values[:, None]
-    win = SlidingWindow(
-        capacity=capacity or len(values), dim=values.shape[1], **kwargs
-    )
+    win = SlidingWindow(capacity=capacity or len(values), dim=values.shape[1])
     for row in values:
         win.push(row)
     return win
+
+
+ONE_ROW = np.zeros(1, dtype=np.intp)
+
+
+def engine_from(statistic, reference, values, w=None, kernel=None):
+    """A one-row engine (the detector's) fed ``values`` in order."""
+    values = np.asarray(values, dtype=np.float64).reshape(len(values), -1)
+    engine = make_batch_engine(statistic, reference, w or len(values), 1, kernel)
+    for row in values:
+        engine.push_column(row[None, :], None)
+    return engine
 
 
 class TestSlidingWindowBuffer:
@@ -105,8 +116,9 @@ class TestKsDistance:
             ref_vals = np.round(rng.normal(size=n), 1)
             win_vals = np.round(rng.normal(size=m), 1)
             ref = ReferenceSet(ref_vals)
-            win = window_from(win_vals, ks_reference=ref)
-            assert ks_distance(ref, win) == brute_ks(ref_vals, win_vals)
+            want = brute_ks(ref_vals, win_vals)
+            assert ks_distance(ref, window_from(win_vals)) == want
+            assert engine_from("ks", ref, win_vals).statistics(ONE_ROW)[0] == want
 
     def test_bounded_and_zero_iff_equal_ecdf(self, rng):
         for _ in range(100):
@@ -121,13 +133,15 @@ class TestKsDistance:
         assert ks_distance(ref, doubled) == 0.0
 
     def test_cached_counts_agree_with_fresh(self, rng):
+        """The engine's stored reference counts give the plain KS exactly."""
         ref = ReferenceSet(rng.normal(size=50))
-        cached = SlidingWindow(capacity=8, ks_reference=ref)
+        engine = make_batch_engine("ks", ref, 8, 1)
         plain = SlidingWindow(capacity=8)
-        for v in rng.normal(size=100):
-            cached.push(v)
+        for i, v in enumerate(rng.normal(size=100)):
+            engine.push_column(np.array([[v]]), None)
             plain.push(v)
-            assert ks_distance(ref, cached) == ks_distance(ref, plain)
+            if i >= 7:
+                assert engine.statistics(ONE_ROW)[0] == ks_distance(ref, plain)
 
     def test_multivariate_rejected(self, rng):
         ref = ReferenceSet(rng.normal(size=(10, 2)))
@@ -215,53 +229,57 @@ class TestMmd2U:
             mmd2_u(ref, win, kernel)
 
 
+def fresh_kernel_sums(kernel, reference, vals):
+    """Window self-sum over ordered pairs i != j and reference cross sum."""
+    K = kernel.matrix(vals, vals)
+    return K.sum() - np.trace(K), kernel.matrix(reference.values, vals).sum()
+
+
 class TestIncrementalKernelSums:
+    """The MMD engine's running sums against the plain recomputation."""
+
     def test_push_matches_brute_force_sums(self, rng):
-        """Cached window/cross sums track full recomputation at 1e-9."""
+        """Running window/cross sums track full recomputation at 1e-9."""
         ref = ReferenceSet(rng.normal(size=(20, 2)))
         kernel = Kernel("rbf", bandwidth=1.5)
-        win = SlidingWindow(capacity=6, dim=2, kernel=kernel, kernel_reference=ref)
-        for _ in range(60):
-            win.push(rng.normal(size=2))
-            vals = win.values()
-            K = kernel.matrix(vals, vals)
-            b_want = K.sum() - np.trace(K)
-            c_want = kernel.matrix(ref.values, vals).sum()
-            assert win.window_kernel_sum == pytest.approx(b_want, rel=1e-9, abs=1e-12)
-            assert win.cross_kernel_sum == pytest.approx(c_want, rel=1e-9, abs=1e-12)
+        engine = make_batch_engine("mmd", ref, 6, 1, kernel)
+        win = SlidingWindow(capacity=6, dim=2)
+        for v in rng.normal(size=(60, 2)):
+            engine.push_column(v[None, :], None)
+            win.push(v)
+            b_want, c_want = fresh_kernel_sums(kernel, ref, win.values())
+            assert engine._b_sums[0] == pytest.approx(b_want, rel=1e-9, abs=1e-12)
+            assert engine._c_sums[0] == pytest.approx(c_want, rel=1e-9, abs=1e-12)
 
     def test_remove_then_readd_is_involution(self, rng):
         ref = ReferenceSet(rng.normal(size=10))
         kernel = Kernel("rbf", bandwidth=1.0)
-        win = SlidingWindow(capacity=4, kernel=kernel, kernel_reference=ref)
-        for v in rng.normal(size=4):
-            win.push(v)
-        oldest = win.scalar_values()[0]
-        b_before, c_before = win.window_kernel_sum, win.cross_kernel_sum
-        win.push(oldest)  # evicts `oldest`, adds the same value back
-        assert win.window_kernel_sum == pytest.approx(b_before, abs=1e-12)
-        assert win.cross_kernel_sum == pytest.approx(c_before, abs=1e-12)
+        values = rng.normal(size=4)
+        engine = engine_from("mmd", ref, values, kernel=kernel)
+        b_before, c_before = engine._b_sums[0], engine._c_sums[0]
+        engine.push_column(values[:1, None], None)  # evicts values[0], adds it back
+        assert engine._b_sums[0] == pytest.approx(b_before, abs=1e-12)
+        assert engine._c_sums[0] == pytest.approx(c_before, abs=1e-12)
 
     def test_thousand_slides_match_fresh_recompute(self, rng):
         ref = ReferenceSet(rng.normal(size=(30, 1)))
         kernel = Kernel("rbf", bandwidth=float(median_heuristic(ref)))
-        win = SlidingWindow(capacity=8, kernel=kernel, kernel_reference=ref)
-        for v in rng.normal(size=1000):
-            win.push(v)
-        incremental = mmd2_u(ref, win, kernel)
-        fresh = window_from(win.scalar_values(), kernel=kernel, kernel_reference=ref)
-        fresh.refresh_kernel_sums()
-        assert incremental == pytest.approx(mmd2_u(ref, fresh, kernel), rel=1e-9, abs=1e-12)
+        values = rng.normal(size=1000)
+        engine = engine_from("mmd", ref, values, w=8, kernel=kernel)
+        incremental = engine.statistics(ONE_ROW)[0]
+        fresh = mmd2_u(ref, window_from(values[-8:]), kernel)
+        assert incremental == pytest.approx(fresh, rel=1e-9, abs=1e-12)
 
-    def test_periodic_refresh_triggers(self, rng):
+    def test_periodic_refresh_triggers(self, rng, monkeypatch):
+        monkeypatch.setattr(BatchMmdEngine, "_REFRESH_EVERY", 5)
         ref = ReferenceSet(rng.normal(size=10))
         kernel = Kernel("rbf", bandwidth=1.0)
-        win = SlidingWindow(
-            capacity=4, kernel=kernel, kernel_reference=ref, refresh_every=5
-        )
-        for v in rng.normal(size=12):
-            win.push(v)
-        assert win._pushes_since_refresh < 5
+        values = rng.normal(size=12)
+        engine = engine_from("mmd", ref, values, w=4, kernel=kernel)
+        assert engine._pushes_since_refresh < 5
+        b_want, c_want = fresh_kernel_sums(kernel, ref, values[-4:, None])
+        assert engine._b_sums[0] == pytest.approx(b_want, rel=1e-9, abs=1e-12)
+        assert engine._c_sums[0] == pytest.approx(c_want, rel=1e-9, abs=1e-12)
 
 
 class TestMedianHeuristic:
