@@ -162,6 +162,7 @@ class BatchMmdEngine:
         self._head = 0
         self._pushes_since_refresh = 0
         self._a_sum = reference.kernel_self_sum(kernel)
+        self._ref_sum = reference.values.sum(axis=0)
 
     def _rowwise_kernel(self, points: np.ndarray, windows: np.ndarray) -> np.ndarray:
         """k(points[i], windows[i, j]) for each row i -> (rows, window_len)."""
@@ -171,15 +172,20 @@ class BatchMmdEngine:
             sq = np.sum(diff**2, axis=-1)
             return np.exp(sq / (-2.0 * self.kernel.bandwidth**2))
         if self.kernel.kind == "linear":
-            return np.einsum("rd,rwd->rw", points, windows)
+            # not einsum: its summation order depends on the operand shapes
+            return np.multiply(windows, points[:, None, :], order="C").sum(axis=-1)
         return np.ones(windows.shape[:2], dtype=np.float64)
 
     def _cross_sums(self, points: np.ndarray) -> np.ndarray:
         """sum_i k(p, x_i) over the reference for each point p -> (rows,).
 
         Each point's sum reduces its own kernel row, so the value does not
-        depend on how many points share the block.
+        depend on how many points share the block.  A linear kernel sums to
+        <p, sum_i x_i>, reduced row by row because a BLAS matmul's order
+        depends on the block shape.
         """
+        if self.kernel.kind == "linear":
+            return (points * self._ref_sum).sum(axis=1)
         out = np.empty(points.shape[0], dtype=np.float64)
         for lo in range(0, points.shape[0], self._CROSS_CHUNK):
             block = points[lo : lo + self._CROSS_CHUNK]

@@ -41,18 +41,14 @@ class CalibrationTarget:
     """False-detection behaviour to aim for.
 
     ``alpha`` is the per-test-step hazard, so the expected run length to
-    false detection is 1/alpha; ``lam`` is an optional horizon at which
-    P(run length <= lam) gets reported.
+    false detection is 1/alpha.
     """
 
     alpha: float
-    lam: Optional[int] = None
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
-        if self.lam is not None and self.lam < 1:
-            raise ValueError("lam must be a positive integer")
 
 
 @dataclass(frozen=True)

@@ -99,7 +99,7 @@ def _parse_distribution(cfg: dict, where: str) -> DistributionSpec:
             return DistributionSpec.gaussian(cfg["means"], cfg["variances"])
         if family == "uniform":
             return DistributionSpec.uniform(cfg["means"], cfg["variances"])
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}")
     raise ConfigError(f"{where}: unknown family {family!r}")
 
@@ -116,6 +116,7 @@ class _ReferenceSection:
             self.size = values.shape[0]
             self.redraw = False
             self._fixed = ReferenceSet(values)
+            self.dim = self._fixed.dim
             return
         _check_keys(
             cfg,
@@ -128,13 +129,14 @@ class _ReferenceSection:
             raise ConfigError("reference.size must be >= 2")
         dist_cfg = {k: v for k, v in cfg.items() if k in ("family", "means", "variances", "weights")}
         self.spec = _parse_distribution(dist_cfg, where)
-        self.redraw = bool(cfg.get("redraw_per_run", False))
+        self.dim = self.spec.dim
+        self.redraw = cfg.get("redraw_per_run", False)
+        if not isinstance(self.redraw, bool):
+            raise ConfigError(
+                f"{where}.redraw_per_run: expected true or false, got {self.redraw!r}"
+            )
         self._fixed = None
         self._seed = seed
-
-    @property
-    def dim(self) -> int:
-        return self._fixed.dim if self._fixed is not None else self.spec.dim
 
     def concrete(self) -> ReferenceSet:
         """The fixed reference (drawing it once if synthetic)."""
@@ -249,14 +251,8 @@ class _DetectorSection:
         self.threshold_cfg = cfg["threshold"]
         self._reference = reference
         self._seed = seed
-        self._schedule = None
 
     def schedule(self) -> ThresholdSchedule:
-        if self._schedule is None:
-            self._schedule = self._resolve_schedule()
-        return self._schedule
-
-    def _resolve_schedule(self) -> ThresholdSchedule:
         cfg = self.threshold_cfg
         where = "detector.threshold"
         _check_keys(
@@ -269,6 +265,10 @@ class _DetectorSection:
             where=where,
         )
         policy = cfg["policy"]
+        for key in ("alpha", "value"):
+            number = cfg.get(key, 0.0)  # the policy that needs a missing key says so
+            if isinstance(number, bool) or not isinstance(number, (int, float)):
+                raise ConfigError(f"{where}.{key}: expected a number, got {number!r}")
         try:
             if policy == "fixed":
                 if "value" not in cfg:
@@ -304,8 +304,9 @@ class _DetectorSection:
                     statistic=self.statistic,
                     kernel=self.kernel,
                     master_seed=self._seed,
-                    min_survivors=cfg.get(
-                        "min_survivors", calibration.DEFAULT_MIN_SURVIVORS
+                    min_survivors=_positive_int(
+                        cfg.get("min_survivors", calibration.DEFAULT_MIN_SURVIVORS),
+                        f"{where}.min_survivors",
                     ),
                 )
             if policy == "schedule_file":
@@ -336,7 +337,7 @@ def _parse_stream(cfg: dict | None) -> ChangePointModel | None:
         return ChangePointModel(
             pre=pre, post=post, change_point=math.inf if cp is None else cp
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}")
 
 
@@ -369,54 +370,48 @@ def _write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_csv(path, header: list, rows, hash_: str, seed: int) -> None:
+def _write_csv(path, header: list, rows, cfg: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# config_hash={hash_} seed={seed}\n")
+        fh.write(f"# config_hash={config_hash(cfg)} seed={cfg['seed']}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(str(v) for v in row) + "\n")
 
 
-def _report_payload(cfg: dict, command: str, report: dict) -> dict:
-    return {
-        "command": command,
+def _write_report(args, cfg: dict, report: dict) -> None:
+    _write_json(args.out, {
+        "command": args.command,
         "config_hash": config_hash(cfg),
         "seed": cfg["seed"],
         "config": cfg,
         "report": report,
-    }
+    })
 
 
 # -- commands ---------------------------------------------------------------
 
 
-def _parse_experiment(cfg: dict):
-    seed = cfg["seed"]
-    reference = _ReferenceSection(cfg["reference"], seed)
-    det = _DetectorSection(cfg["detector"], reference, seed)
-    return seed, reference, det
-
-
-def cmd_calibrate(args) -> int:
+def _load_experiment(args):
+    """The config (with ``--seed`` applied), its reference and its detector."""
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg["seed"] = args.seed
-    seed, reference, det = _parse_experiment(cfg)
+    reference = _ReferenceSection(cfg["reference"], cfg["seed"])
+    return cfg, reference, _DetectorSection(cfg["detector"], reference, cfg["seed"])
+
+
+def cmd_calibrate(args) -> int:
+    cfg, _, det = _load_experiment(args)
     schedule = det.schedule()
-    meta = {"config_hash": config_hash(cfg), "seed": seed}
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(schedule.to_json(meta))
+        fh.write(schedule.to_json({"config_hash": config_hash(cfg), "seed": cfg["seed"]}))
         fh.write("\n")
-    kind = schedule.kind
-    print(f"wrote {kind} schedule (w={schedule.w}, alpha={schedule.alpha}) to {args.out}")
+    print(f"wrote {schedule.kind} schedule (w={schedule.w}, alpha={schedule.alpha}) to {args.out}")
     return 0
 
 
 def cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    seed, reference, det = _parse_experiment(cfg)
+    cfg, reference, det = _load_experiment(args)
     schedule = det.schedule()
     ev = _EvaluationSection(cfg.get("evaluation"), schedule.alpha)
     cap = args.cap if args.cap is not None else ev.cap
@@ -435,29 +430,22 @@ def cmd_run(args) -> int:
         model = _parse_stream(cfg.get("stream"))
         if model is None:
             raise ConfigError("run needs a stream section or --stream-file")
-        stream = streams.generate_stream(model, cap, seed, stream_id=0)
+        stream = streams.generate_stream(model, cap, cfg["seed"], stream_id=0)
     result = detector_mod.run(config, stream, cap, trace=args.trace is not None)
 
-    hash_ = config_hash(cfg)
-    payload = _report_payload(
-        cfg,
-        "run",
-        {
-            "detection_time": result.detection_time,
-            "run_length": result.run_length,
-            "censored": result.censored,
-            "cap": result.cap,
-            "w": result.w,
-        },
-    )
-    _write_json(args.out, payload)
+    _write_report(args, cfg, {
+        "detection_time": result.detection_time,
+        "run_length": result.run_length,
+        "censored": result.censored,
+        "cap": result.cap,
+        "w": result.w,
+    })
     if args.trace is not None:
         _write_csv(
             args.trace,
             ["t", "statistic", "threshold", "detected"],
             [(t, repr(s), repr(h), str(d).lower()) for t, s, h, d in result.trace],
-            hash_,
-            seed,
+            cfg,
         )
     outcome = (
         f"detection at t={result.detection_time}" if not result.censored else "censored"
@@ -466,45 +454,47 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_arl(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    seed, reference, det = _parse_experiment(cfg)
-    model = _parse_stream(cfg.get("stream"))
-    if model is None:
-        raise ConfigError("arl needs a stream section (the null model)")
-    if model.change_point != math.inf:
-        raise ConfigError("arl measures false detections; stream.change_point must be null")
+def _monte_carlo(args, cfg, reference, det, estimate):
+    """Resolve the schedule, the evaluation section and the reference, call
+    ``estimate(schedule, ev, **kwargs)``, and write its report and runs CSV."""
     schedule = det.schedule()
     ev = _EvaluationSection(cfg.get("evaluation"), schedule.alpha)
-    workers = args.workers if args.workers is not None else ev.workers
-
     kwargs = dict(
         statistic=det.statistic,
         summary=det.summary,
         kernel=det.kernel,
-        workers=workers,
-        lam=ev.lam,
+        workers=args.workers if args.workers is not None else ev.workers,
     )
     if reference.redraw:
         kwargs.update(reference_spec=reference.spec, reference_size=reference.size)
     else:
         kwargs.update(reference=reference.concrete())
-    report = evaluation.estimate_arl0(
-        schedule, model, ev.n_runs, ev.cap, seed, **kwargs
-    )
+    report = estimate(schedule, ev, **kwargs)
 
-    payload = _report_payload(cfg, "arl", report.to_dict())
-    _write_json(args.out, payload)
+    _write_report(args, cfg, report.to_dict())
     if args.runs_csv is not None:
         _write_csv(
             args.runs_csv,
             ["run_id", "T", "censored"],
             [(i, t, str(c).lower()) for i, t, c in report.runs],
-            config_hash(cfg),
-            seed,
+            cfg,
         )
+    return report
+
+
+def cmd_arl(args) -> int:
+    cfg, reference, det = _load_experiment(args)
+    model = _parse_stream(cfg.get("stream"))
+    if model is None:
+        raise ConfigError("arl needs a stream section (the null model)")
+    if model.change_point != math.inf:
+        raise ConfigError("arl measures false detections; stream.change_point must be null")
+    report = _monte_carlo(
+        args, cfg, reference, det,
+        lambda schedule, ev, **kw: evaluation.estimate_arl0(
+            schedule, model, ev.n_runs, ev.cap, cfg["seed"], lam=ev.lam, **kw
+        ),
+    )
     print(
         f"arl: mean_T={report.mean_T:.1f} slackness={report.slackness!r} "
         f"censored={report.censored_count}/{report.n_runs}; report written to {args.out}"
@@ -513,38 +503,16 @@ def cmd_arl(args) -> int:
 
 
 def cmd_delay(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    seed, reference, det = _parse_experiment(cfg)
+    cfg, reference, det = _load_experiment(args)
     model = _parse_stream(cfg.get("stream"))
     if model is None or model.change_point == math.inf:
         raise ConfigError("delay needs a stream section with a finite change_point")
-    schedule = det.schedule()
-    ev = _EvaluationSection(cfg.get("evaluation"), schedule.alpha)
-    workers = args.workers if args.workers is not None else ev.workers
-
-    kwargs = dict(
-        statistic=det.statistic, summary=det.summary, kernel=det.kernel, workers=workers
+    report = _monte_carlo(
+        args, cfg, reference, det,
+        lambda schedule, ev, **kw: evaluation.estimate_delay(
+            schedule, model, ev.n_runs, ev.cap, cfg["seed"], **kw
+        ),
     )
-    if reference.redraw:
-        kwargs.update(reference_spec=reference.spec, reference_size=reference.size)
-    else:
-        kwargs.update(reference=reference.concrete())
-    report = evaluation.estimate_delay(
-        schedule, model, ev.n_runs, ev.cap, seed, **kwargs
-    )
-
-    payload = _report_payload(cfg, "delay", report.to_dict())
-    _write_json(args.out, payload)
-    if args.runs_csv is not None:
-        _write_csv(
-            args.runs_csv,
-            ["run_id", "T", "censored"],
-            [(i, t, str(c).lower()) for i, t, c in report.runs],
-            config_hash(cfg),
-            seed,
-        )
     delay = "n/a" if report.mean_delay is None else f"{report.mean_delay:.1f}"
     print(
         f"delay: mean_delay={delay} false_alarms={report.false_alarm_fraction:.3f}; "
@@ -557,24 +525,6 @@ _APPENDIX_BASE_ALPHA = 0.001
 _APPENDIX_BASE_RUNS = 250
 _APPENDIX_W_GRID = (100, 200, 300, 400, 500)  # reference size fixed at 3000
 _APPENDIX_N_GRID = (300, 1000, 3000, 10000, 30000)  # window fixed at 300
-
-
-def _appendix_point(seed_entropy, w, n, alpha, n_runs, cap, workers):
-    point_seed = int(np.random.SeedSequence(entropy=seed_entropy).generate_state(1)[0])
-    schedule = calibration.ks_asymptotic_threshold(n, w, alpha)
-    spec = DistributionSpec.gaussian(0.0, 1.0)
-    report = evaluation.estimate_arl0(
-        schedule,
-        streams.null_model(spec),
-        n_runs,
-        cap,
-        point_seed,
-        statistic=KS,
-        reference_spec=spec,
-        reference_size=n,
-        workers=workers,
-    )
-    return report
 
 
 def cmd_reproduce_appendix(args) -> int:
@@ -596,13 +546,26 @@ def cmd_reproduce_appendix(args) -> int:
         "w_grid": list(_APPENDIX_W_GRID),
         "n_grid": list(_APPENDIX_N_GRID),
     }
-    hash_ = config_hash(meta_cfg)
-
-    def sweep(points, sweep_id, tag):
+    spec = DistributionSpec.gaussian(0.0, 1.0)
+    sweeps = (
+        ("fig1a", "window sizes (n=3000)", [(w, 3000) for w in _APPENDIX_W_GRID]),
+        ("fig1b", "reference sizes (w=300)", [(300, n) for n in _APPENDIX_N_GRID]),
+    )
+    for sweep_id, (tag, label, points) in enumerate(sweeps, start=1):
+        print(f"sweep over {label}, alpha={alpha}, {n_runs} runs each")
         rows = []
         for idx, (w, n) in enumerate(points):
-            report = _appendix_point(
-                (args.seed, sweep_id, idx), w, n, alpha, n_runs, cap, args.workers
+            entropy = (args.seed, sweep_id, idx)
+            report = evaluation.estimate_arl0(
+                calibration.ks_asymptotic_threshold(n, w, alpha),
+                streams.null_model(spec),
+                n_runs,
+                cap,
+                int(np.random.SeedSequence(entropy=entropy).generate_state(1)[0]),
+                statistic=KS,
+                reference_spec=spec,
+                reference_size=n,
+                workers=args.workers,
             )
             rows.append(
                 (w, n, alpha, repr(report.mean_T), repr(report.standard_error),
@@ -612,28 +575,24 @@ def cmd_reproduce_appendix(args) -> int:
                 f"  {tag}: w={w} n={n} mean_T={report.mean_T:.1f} "
                 f"slackness={report.slackness:.2f} censored={report.censored_count}"
             )
-        return rows
-
-    print(f"sweep over window sizes (n=3000), alpha={alpha}, {n_runs} runs each")
-    fig1a = sweep([(w, 3000) for w in _APPENDIX_W_GRID], 1, "fig1a")
-    _write_csv(
-        out_dir / "fig1a.csv",
-        ["w", "n", "alpha", "mean_T", "se", "slackness"],
-        fig1a, hash_, args.seed,
-    )
-    print(f"sweep over reference sizes (w=300), alpha={alpha}, {n_runs} runs each")
-    fig1b = sweep([(300, n) for n in _APPENDIX_N_GRID], 2, "fig1b")
-    _write_csv(
-        out_dir / "fig1b.csv",
-        ["w", "n", "alpha", "mean_T", "se", "slackness"],
-        fig1b, hash_, args.seed,
-    )
-    _write_json(out_dir / "meta.json", {"config_hash": hash_, **meta_cfg})
+        _write_csv(
+            out_dir / f"{tag}.csv",
+            ["w", "n", "alpha", "mean_T", "se", "slackness"],
+            rows, meta_cfg,
+        )
+    _write_json(out_dir / "meta.json", {"config_hash": config_hash(meta_cfg), **meta_cfg})
     print(f"wrote fig1a.csv, fig1b.csv, meta.json to {out_dir}")
     return 0
 
 
 # -- entry point -------------------------------------------------------------
+
+
+def _workers(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -642,37 +601,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sequential distribution-shift detection toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    experiment = argparse.ArgumentParser(add_help=False)
+    experiment.add_argument("--config", required=True)
+    experiment.add_argument("--out", required=True)
+    experiment.add_argument("--seed", type=int, default=None, help="override the config seed")
 
-    p = sub.add_parser("calibrate", help="build and save a threshold schedule")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p = sub.add_parser(
+        "calibrate", parents=[experiment], help="build and save a threshold schedule"
+    )
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("run", help="run the detector once on a stream")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("run", parents=[experiment], help="run the detector once on a stream")
     p.add_argument("--stream-file", default=None, help="read the stream from a file")
     p.add_argument("--trace", default=None, help="write a per-step statistic trace CSV")
     p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("arl", help="estimate the run length to false detection")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--runs-csv", default=None, help="write the per-run table")
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_arl)
-
-    p = sub.add_parser("delay", help="estimate the detection delay after a change")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--runs-csv", default=None)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_delay)
+    for name, func, help_ in (
+        ("arl", cmd_arl, "estimate the run length to false detection"),
+        ("delay", cmd_delay, "estimate the detection delay after a change"),
+    ):
+        p = sub.add_parser(name, parents=[experiment], help=help_)
+        p.add_argument("--runs-csv", default=None, help="write the per-run table")
+        p.add_argument("--workers", type=_workers, default=None)
+        p.set_defaults(func=func)
 
     p = sub.add_parser(
         "reproduce-appendix",
@@ -686,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="cost scale: effective alpha = 0.001/scale and runs = 250*scale, "
         "so --scale 0.1 is a cheap CI version and --scale 1 the full job",
     )
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_workers, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap", type=int, default=None, help="censoring cap (default 100/alpha)")
     p.set_defaults(func=cmd_reproduce_appendix)
@@ -698,9 +650,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -249,6 +249,11 @@ def _build_context(
     w = schedule.w
     if cap < w:
         raise ValueError("cap must be at least the window size")
+    if summary is not None and summary.kind == "model_loss":
+        raise ValueError(
+            "model_loss summaries need per-instance labels, which synthetic "
+            "streams do not carry"
+        )
     if summary is None:
         dim = reference.dim if reference is not None else reference_spec.dim
         summary = identity(dim)

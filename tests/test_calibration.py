@@ -259,6 +259,3 @@ class TestCalibrationTarget:
             CalibrationTarget(alpha=0.0)
         with pytest.raises(ValueError):
             CalibrationTarget(alpha=1.0)
-        assert CalibrationTarget(alpha=0.5, lam=10).lam == 10
-        with pytest.raises(ValueError):
-            CalibrationTarget(alpha=0.5, lam=0)

@@ -2,6 +2,16 @@ import json
 
 import pytest
 
+from seqshift import (
+    ChangePointModel,
+    DistributionSpec,
+    ReferenceSet,
+    draw_reference,
+    estimate_arl0,
+    estimate_delay,
+    ks_asymptotic_threshold,
+    null_model,
+)
 from seqshift.cli import main
 from seqshift.streams import save_stream_file
 
@@ -29,6 +39,14 @@ def base_arl_config(w=20, alpha=0.05, n_runs=30, redraw=True):
         },
         "stream": {"pre": {"family": "gaussian", "means": [0.0], "variances": [1.0]}},
         "evaluation": {"n_runs": n_runs, "cap": 2000},
+    }
+
+
+def calibrated(cfg, **keys):
+    """Switch ``cfg`` to a calibrated threshold on one concrete reference."""
+    cfg["reference"]["redraw_per_run"] = False
+    cfg["detector"]["threshold"] = {
+        "policy": "calibrated", "alpha": 0.05, "t_max": 40, "n_streams": 2000, **keys,
     }
 
 
@@ -92,6 +110,41 @@ class TestConfigValidation:
         assert code == 2
         assert "redraw_per_run" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "mutate, field",
+        [
+            (lambda cfg: cfg["reference"].update(redraw_per_run="false"),
+             "reference.redraw_per_run"),
+            (lambda cfg: cfg["detector"]["threshold"].update(alpha="0.05"),
+             "detector.threshold.alpha"),
+            (lambda cfg: cfg["detector"]["threshold"].update(policy="fixed", value="0.3"),
+             "detector.threshold.value"),
+            (lambda cfg: calibrated(cfg, min_survivors="100"),
+             "detector.threshold.min_survivors"),
+            (lambda cfg: cfg["stream"]["pre"].update(means={"m": 0}), "stream.pre"),
+        ],
+        ids=["redraw_per_run", "alpha", "value", "min_survivors", "means"],
+    )
+    def test_scalar_types_checked(self, tmp_path, capsys, mutate, field):
+        cfg = base_arl_config()
+        mutate(cfg)
+        code = main(["arl", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["arl", "delay", "reproduce-appendix"])
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_workers_flag_must_be_positive(self, tmp_path, capsys, command, workers):
+        args = ["--config", "x", "--out", "y"]
+        if command == "reproduce-appendix":
+            # --scale 0 makes a run that got past argument parsing fail fast
+            args = ["--out-dir", str(tmp_path / "d"), "--scale", "0"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, "--workers", workers])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
 
 class TestArlCommand:
     def test_writes_report_and_csv(self, tmp_path, capsys):
@@ -143,6 +196,38 @@ class TestArlCommand:
         p1, p2 = json.loads(out1.read_text()), json.loads(out2.read_text())
         assert p1["config_hash"] != p2["config_hash"]
         assert p2["seed"] == 99
+
+
+class TestMonteCarloReports:
+    @pytest.mark.parametrize("redraw", [False, True], ids=["concrete", "redraw"])
+    @pytest.mark.parametrize("command", ["arl", "delay"])
+    def test_report_and_runs_match_direct_estimate(self, tmp_path, command, redraw):
+        cfg = base_arl_config(n_runs=12, redraw=redraw)
+        spec = DistributionSpec.gaussian([0.0], [1.0])
+        schedule = ks_asymptotic_threshold(300, 20, 0.05)
+        kwargs = dict(statistic="ks", workers=1)
+        if redraw:
+            kwargs.update(reference_spec=spec, reference_size=300)
+        else:
+            kwargs.update(reference=ReferenceSet(draw_reference(spec, 300, 7, 0)))
+        if command == "arl":
+            cfg["evaluation"]["lambda"] = 40
+            report = estimate_arl0(schedule, null_model(spec), 12, 2000, 7, lam=40, **kwargs)
+        else:
+            post = {"family": "gaussian", "means": [1.5], "variances": [1.0]}
+            cfg["stream"].update(post=post, change_point=60)
+            model = ChangePointModel(spec, DistributionSpec.gaussian([1.5], [1.0]), 60)
+            report = estimate_delay(schedule, model, 12, 2000, 7, **kwargs)
+
+        out, csv = tmp_path / "report.json", tmp_path / "runs.csv"
+        assert main([command, "--config", write_config(tmp_path, cfg),
+                     "--out", str(out), "--runs-csv", str(csv)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["command"] == command
+        assert payload["config"] == cfg
+        assert payload["report"] == json.loads(json.dumps(report.to_dict()))
+        rows = csv.read_text().splitlines()[2:]
+        assert rows == [f"{i},{t},{str(c).lower()}" for i, t, c in report.runs]
 
 
 class TestCalibrateAndRun:

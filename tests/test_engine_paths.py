@@ -33,6 +33,7 @@ def cases(draw):
         n=draw(st.integers(2, 60)),
         w=draw(st.integers(2 if mmd else 1, 30)),
         d=draw(st.integers(1, 4)) if mmd else 1,
+        kernel=draw(st.sampled_from(("rbf", "linear"))) if mmd else None,
         rows=draw(st.integers(1, 4)),
         extra_steps=draw(st.integers(0, 50)),
         seed=draw(st.integers(0, 2**32 - 1)),
@@ -92,12 +93,17 @@ def test_detector_engine_and_sliding_scan_agree_bitwise(case):
         ref_values = np.round(ref_values, case["decimals"])
         streams = np.round(streams, case["decimals"])
     reference = ReferenceSet(ref_values)
+    kernel = None
+    if case["kernel"] == "rbf":
+        kernel = Kernel("rbf", bandwidth=float(gen.uniform(0.3, 3.0)))
+    elif case["kernel"] == "linear":
+        kernel = Kernel("linear")
     config = DetectorConfig(
         reference=reference,
         schedule=fixed_threshold(math.inf, w),
         window_size=w,
         statistic=statistic,
-        kernel=Kernel("rbf", bandwidth=float(gen.uniform(0.3, 3.0))) if statistic == "mmd" else None,
+        kernel=kernel,
     )
 
     lockstep = lockstep_sequences(config, streams, gen)

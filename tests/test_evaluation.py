@@ -19,6 +19,7 @@ from seqshift import (
     slackness,
 )
 from seqshift.evaluation import RunLengthReport
+from seqshift.summaries import SummaryStatistic, squared_error_loss
 
 
 class TestEstimateArl0:
@@ -66,6 +67,22 @@ class TestEstimateArl0:
             estimate_arl0(
                 sched, null_model(std_normal), 5, 50, 0,
                 reference_spec=std_normal, reference_size=100,
+            )
+
+    @pytest.mark.parametrize(
+        "estimate, change_point", [(estimate_arl0, math.inf), (estimate_delay, 20)]
+    )
+    def test_label_summaries_rejected(self, estimate, change_point, small_reference):
+        # a 2-d sample must not be unpacked into a feature and a fake label
+        pair = DistributionSpec.gaussian([0.0, 0.0], [1.0, 1.0])
+        summary = SummaryStatistic(
+            kind="model_loss", out_dim=1, model=lambda x: 0.0, loss=squared_error_loss
+        )
+        with pytest.raises(ValueError, match="labels"):
+            estimate(
+                fixed_threshold(0.5, w=5), ChangePointModel(pair, pair, change_point),
+                3, 50, 0,
+                summary=summary, reference=small_reference,
             )
 
     def test_lambda_probability(self, std_normal, small_reference):
