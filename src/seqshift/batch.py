@@ -8,6 +8,10 @@ the one calibration ranked.  Every per-row expression is independent of
 the number of rows, and the ``sliding_*_stats`` scans the Monte Carlo
 harness uses on scalar streams repeat the engines' expressions, so a
 vectorized run and a stepped run of the same stream agree bitwise.
+
+:func:`check_statistic` is the one statement of each statistic's rules;
+the engines, the detector, calibration, the Monte Carlo harness and the
+CLI call it rather than restate them.
 """
 
 from __future__ import annotations
@@ -16,7 +20,23 @@ from typing import Optional
 
 import numpy as np
 
-from .statistics import KS, MEAN_DIFF, MMD, Kernel, ReferenceSet
+from .statistics import KS, MMD, STATISTIC_KINDS, Kernel, ReferenceSet, _WindowRing
+
+
+def check_statistic(statistic: str, dim: int, w: int, kernel: Optional[Kernel]) -> None:
+    """Raise ValueError unless ``statistic`` can run on ``dim``-dimensional
+    summaries in windows of ``w`` with ``kernel``."""
+    if statistic not in STATISTIC_KINDS:
+        raise ValueError(f"unknown statistic {statistic!r}; expected one of {list(STATISTIC_KINDS)}")
+    if w < 1:
+        raise ValueError("window size must be >= 1")
+    if statistic == MMD:
+        if kernel is None:
+            raise ValueError("the MMD statistic requires a kernel")
+        if w < 2:
+            raise ValueError("the MMD statistic needs window size >= 2")
+    elif dim != 1:
+        raise ValueError(f"{statistic} requires scalar summaries, got dimension {dim}")
 
 
 def ks_stats_from_count_rows(
@@ -59,7 +79,7 @@ def sliding_mean_diff_stats(
     return reference.scalar_mean - np.sum(windows, axis=1) / w
 
 
-class BatchKsEngine:
+class BatchKsEngine(_WindowRing):
     """Lockstep sliding windows for many streams, KS statistic.
 
     Stores each element's reference CDF counts rather than its value: one
@@ -67,39 +87,29 @@ class BatchKsEngine:
     """
 
     def __init__(self, reference: ReferenceSet, w: int, n_streams: int):
-        if reference.dim != 1:
-            raise ValueError("the KS distance requires scalar summaries")
+        super().__init__(w)
         self.reference = reference
-        self.w = w
         self._left = np.zeros((n_streams, w), dtype=np.int32)
         self._right = np.zeros((n_streams, w), dtype=np.int32)
-        self._size = 0
-        self._head = 0
 
     def push_column(self, col: np.ndarray, active: Optional[np.ndarray]) -> None:
         col = np.asarray(col, dtype=np.float64).reshape(-1)
         ref_sorted = self.reference.sorted_values
         left = np.searchsorted(ref_sorted, col, side="left").astype(np.int32)
         right = np.searchsorted(ref_sorted, col, side="right").astype(np.int32)
-        if self._size < self.w:
-            slot = self._size
-            self._size += 1
-        else:
-            # dead rows receive garbage harmlessly; they are never read again
-            slot = self._head
-            self._head = (self._head + 1) % self.w
+        # dead rows receive garbage harmlessly; they are never read again
+        slot = self._next_slot()
         self._left[:, slot] = left
         self._right[:, slot] = right
 
     def statistics(self, active: np.ndarray) -> np.ndarray:
-        if self._size < self.w:
-            raise RuntimeError("windows not yet full")
+        self._require_full()
         return ks_stats_from_count_rows(
             self._left[active], self._right[active], self.reference.n, self.w
         )
 
 
-class BatchMeanDiffEngine:
+class BatchMeanDiffEngine(_WindowRing):
     """Lockstep sliding windows for many streams, mean-difference statistic.
 
     Each value is stored twice, w slots apart, so every window is one
@@ -108,33 +118,23 @@ class BatchMeanDiffEngine:
     """
 
     def __init__(self, reference: ReferenceSet, w: int, n_streams: int):
-        if reference.dim != 1:
-            raise ValueError("the mean difference requires scalar summaries")
+        super().__init__(w)
         self.reference = reference
-        self.w = w
         self._buffer = np.zeros((n_streams, 2 * w), dtype=np.float64)
-        self._size = 0
-        self._head = 0
 
     def push_column(self, col: np.ndarray, active: Optional[np.ndarray]) -> None:
         col = np.asarray(col, dtype=np.float64).reshape(-1)
-        if self._size < self.w:
-            slot = self._size
-            self._size += 1
-        else:
-            slot = self._head
-            self._head = (self._head + 1) % self.w
+        slot = self._next_slot()
         self._buffer[:, slot] = col
         self._buffer[:, slot + self.w] = col
 
     def statistics(self, active: np.ndarray) -> np.ndarray:
-        if self._size < self.w:
-            raise RuntimeError("windows not yet full")
+        self._require_full()
         sums = self._buffer[active, self._head : self._head + self.w].sum(axis=1)
         return self.reference.scalar_mean - sums / self.w
 
 
-class BatchMmdEngine:
+class BatchMmdEngine(_WindowRing):
     """Lockstep sliding windows for many streams, unbiased squared MMD.
 
     Maintains each stream's window self-sum and reference cross-sum
@@ -149,17 +149,13 @@ class BatchMmdEngine:
     _REFRESH_EVERY = 10_000
 
     def __init__(self, reference: ReferenceSet, w: int, n_streams: int, kernel: Kernel):
-        if w < 2:
-            raise ValueError("the MMD statistic needs window size >= 2")
+        super().__init__(w)
         self.reference = reference
-        self.w = w
         self.kernel = kernel
         self._buffer = np.zeros((n_streams, w, reference.dim), dtype=np.float64)
         self._slot_cross = np.zeros((n_streams, w), dtype=np.float64)
         self._b_sums = np.zeros(n_streams, dtype=np.float64)
         self._c_sums = np.zeros(n_streams, dtype=np.float64)
-        self._size = 0
-        self._head = 0
         self._pushes_since_refresh = 0
         self._a_sum = reference.kernel_self_sum(kernel)
         self._ref_sum = reference.values.sum(axis=0)
@@ -200,15 +196,9 @@ class BatchMmdEngine:
             col = col[:, None]
         rows = slice(None) if active is None else active
         cross = self._cross_sums(col[rows])
-        if self._size < self.w:
-            slot = self._size
-            if self._size > 0:
-                others = self._buffer[rows, : self._size]
-                k_new = self._rowwise_kernel(col[rows], others)
-                self._b_sums[rows] += 2.0 * k_new.sum(axis=1)
-            self._size += 1
-        else:
-            slot = self._head
+        evicting = self.is_full
+        slot = self._next_slot()
+        if evicting:
             mask = np.ones(self.w, dtype=bool)
             mask[slot] = False
             old = self._buffer[rows, slot]
@@ -216,9 +206,10 @@ class BatchMmdEngine:
             k_old = self._rowwise_kernel(old, others)
             self._b_sums[rows] -= 2.0 * k_old.sum(axis=1)
             self._c_sums[rows] -= self._slot_cross[rows, slot]
-            k_new = self._rowwise_kernel(col[rows], others)
-            self._b_sums[rows] += 2.0 * k_new.sum(axis=1)
-            self._head = (self._head + 1) % self.w
+        else:
+            others = self._buffer[rows, :slot]  # empty on the first push: adds 0.0
+        k_new = self._rowwise_kernel(col[rows], others)
+        self._b_sums[rows] += 2.0 * k_new.sum(axis=1)
         self._c_sums[rows] += cross
         self._slot_cross[rows, slot] = cross
         self._buffer[:, slot] = col
@@ -236,8 +227,7 @@ class BatchMmdEngine:
         self._pushes_since_refresh = 0
 
     def statistics(self, active: np.ndarray) -> np.ndarray:
-        if self._size < self.w:
-            raise RuntimeError("windows not yet full")
+        self._require_full()
         n = self.reference.n
         w = self.w
         return (
@@ -254,12 +244,9 @@ def make_batch_engine(
     n_streams: int,
     kernel: Optional[Kernel] = None,
 ):
+    check_statistic(statistic, reference.dim, w, kernel)
+    if statistic == MMD:
+        return BatchMmdEngine(reference, w, n_streams, kernel)
     if statistic == KS:
         return BatchKsEngine(reference, w, n_streams)
-    if statistic == MEAN_DIFF:
-        return BatchMeanDiffEngine(reference, w, n_streams)
-    if statistic == MMD:
-        if kernel is None:
-            raise ValueError("the MMD statistic requires a kernel")
-        return BatchMmdEngine(reference, w, n_streams, kernel)
-    raise ValueError(f"unknown statistic {statistic!r}")
+    return BatchMeanDiffEngine(reference, w, n_streams)

@@ -22,8 +22,8 @@ from typing import Optional
 import numpy as np
 
 from . import rng
-from .batch import make_batch_engine
-from .statistics import KS, MEAN_DIFF, MMD, STATISTIC_KINDS, Kernel, ReferenceSet, _ks_from_counts
+from .batch import check_statistic, make_batch_engine
+from .statistics import KS, MMD, Kernel, ReferenceSet, _ks_from_counts
 
 FIXED = "fixed"
 TIME_VARYING = "time_varying"
@@ -205,8 +205,7 @@ def permutation_threshold(
     n_perm)-th order statistic of those values.  Kernel matrices are
     computed once and reused across permutations.
     """
-    if statistic not in STATISTIC_KINDS:
-        raise ValueError(f"unknown statistic {statistic!r}")
+    check_statistic(statistic, reference.dim, w, kernel)
     if w >= reference.n:
         raise ValueError(f"w must be smaller than the reference size ({reference.n})")
     if not 0.0 < alpha < 1.0:
@@ -216,10 +215,6 @@ def permutation_threshold(
         raise ValueError(
             f"n_perm={n_perm} cannot resolve the alpha={alpha} tail; need >= {needed}"
         )
-    if statistic in (KS, MEAN_DIFF) and reference.dim != 1:
-        raise ValueError(f"{statistic} requires scalar summaries")
-    if statistic == MMD and kernel is None:
-        raise ValueError("the MMD statistic requires a kernel")
 
     gen = rng.generator(master_seed, rng.LANE_PERMUTATION, 0)
     n = reference.n
@@ -295,14 +290,9 @@ def calibrate_schedule(
     rule for choosing ``n_streams``.  Pass a dict as ``diagnostics`` to
     receive the per-step survivor counts (after each elimination).
     """
-    if statistic not in STATISTIC_KINDS:
-        raise ValueError(f"unknown statistic {statistic!r}")
+    check_statistic(statistic, reference.dim, w, kernel)
     if t_max < w:
         raise ValueError("t_max must be >= w")
-    if w < 1:
-        raise ValueError("w must be >= 1")
-    if statistic == MMD and kernel is None:
-        raise ValueError("the MMD statistic requires a kernel")
     alpha = target.alpha
     needed = required_streams(alpha, w, t_max, min_survivors)
     if n_streams < needed:

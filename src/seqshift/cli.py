@@ -20,8 +20,9 @@ import numpy as np
 
 from . import calibration, evaluation, streams, summaries
 from . import detector as detector_mod
+from .batch import check_statistic
 from .calibration import CalibrationTarget, ThresholdSchedule
-from .statistics import KS, MEAN_DIFF, MMD, STATISTIC_KINDS, Kernel, ReferenceSet, median_heuristic
+from .statistics import KS, Kernel, ReferenceSet, median_heuristic
 from .streams import ChangePointModel, DistributionSpec
 
 
@@ -51,6 +52,26 @@ def _positive_int(value, where: str) -> int:
     return value
 
 
+def _typed(value, types, what: str, where: str):
+    # JSON true/false load as bool, an int subclass, but are not numbers
+    if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
+        raise ConfigError(f"{where}: expected {what}, got {value!r}")
+    return value
+
+
+def _number(value, where: str):
+    return _typed(value, (int, float), "a number", where)
+
+
+def _numbers(value, where: str):
+    """A number or a nested array of numbers, as JSON writes them."""
+    if isinstance(value, list):
+        for item in value:
+            _numbers(item, where)
+        return value
+    return _number(value, where)
+
+
 def load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -65,8 +86,7 @@ def load_config(path) -> dict:
         required={"seed", "detector", "reference"},
         where=str(path),
     )
-    if not isinstance(cfg["seed"], int) or isinstance(cfg["seed"], bool):
-        raise ConfigError("seed: expected an integer")
+    _typed(cfg["seed"], int, "an integer", "seed")
     return cfg
 
 
@@ -86,19 +106,21 @@ def _parse_distribution(cfg: dict, where: str) -> DistributionSpec:
         where=where,
     )
     family = cfg["family"]
+    if family == "gaussian-mixture" and "weights" not in cfg:
+        raise ConfigError(f"{where}: gaussian-mixture requires weights")
+    if family != "gaussian-mixture" and "weights" in cfg:
+        raise ConfigError(f"{where}: weights only apply to gaussian-mixture")
+    arrays = {key: _numbers(value, f"{where}.{key}") for key, value in cfg.items()
+              if key != "family"}
     try:
         if family == "gaussian-mixture":
-            if "weights" not in cfg:
-                raise ConfigError(f"{where}: gaussian-mixture requires weights")
             return DistributionSpec.gaussian_mixture(
-                cfg["means"], cfg["variances"], cfg["weights"]
+                arrays["means"], arrays["variances"], arrays["weights"]
             )
-        if "weights" in cfg:
-            raise ConfigError(f"{where}: weights only apply to gaussian-mixture")
         if family == "gaussian":
-            return DistributionSpec.gaussian(cfg["means"], cfg["variances"])
+            return DistributionSpec.gaussian(arrays["means"], arrays["variances"])
         if family == "uniform":
-            return DistributionSpec.uniform(cfg["means"], cfg["variances"])
+            return DistributionSpec.uniform(arrays["means"], arrays["variances"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}")
     raise ConfigError(f"{where}: unknown family {family!r}")
@@ -111,7 +133,7 @@ class _ReferenceSection:
         where = "reference"
         if "path" in cfg:
             _check_keys(cfg, allowed={"path"}, required={"path"}, where=where)
-            values = streams.load_stream_file(cfg["path"])
+            values = streams.load_stream_file(_typed(cfg["path"], str, "a string", f"{where}.path"))
             self.spec = None
             self.size = values.shape[0]
             self.redraw = False
@@ -130,11 +152,9 @@ class _ReferenceSection:
         dist_cfg = {k: v for k, v in cfg.items() if k in ("family", "means", "variances", "weights")}
         self.spec = _parse_distribution(dist_cfg, where)
         self.dim = self.spec.dim
-        self.redraw = cfg.get("redraw_per_run", False)
-        if not isinstance(self.redraw, bool):
-            raise ConfigError(
-                f"{where}.redraw_per_run: expected true or false, got {self.redraw!r}"
-            )
+        self.redraw = _typed(
+            cfg.get("redraw_per_run", False), bool, "true or false", f"{where}.redraw_per_run"
+        )
         self._fixed = None
         self._seed = seed
 
@@ -169,7 +189,7 @@ def _parse_summary(cfg: dict | None, ref_dim: int) -> summaries.SummaryStatistic
     if kind == "affine_projection":
         if "matrix" not in cfg:
             raise ConfigError(f"{where}: affine_projection requires matrix")
-        matrix = np.asarray(cfg["matrix"], dtype=np.float64)
+        matrix = np.asarray(_numbers(cfg["matrix"], f"{where}.matrix"), dtype=np.float64)
         if matrix.ndim != 2:
             raise ConfigError(f"{where}.matrix: expected a 2-d array")
         return summaries.SummaryStatistic(
@@ -187,7 +207,10 @@ def _parse_summary(cfg: dict | None, ref_dim: int) -> summaries.SummaryStatistic
         )
         if model_cfg["type"] != "linear_softmax":
             raise ConfigError(f"{where}.model: unknown model type {model_cfg['type']!r}")
-        model = summaries.LinearSoftmaxModel(model_cfg["weights"], model_cfg["bias"])
+        model = summaries.LinearSoftmaxModel(
+            _numbers(model_cfg["weights"], f"{where}.model.weights"),
+            _numbers(model_cfg["bias"], f"{where}.model.bias"),
+        )
         if kind == "model_output":
             return summaries.SummaryStatistic(
                 kind="model_output", out_dim=model.n_classes, model=model
@@ -212,6 +235,8 @@ def _parse_kernel(cfg: dict | None, reference: _ReferenceSection | None) -> Kern
                 "reference; set an explicit bandwidth instead"
             )
         bandwidth = median_heuristic(reference.concrete())
+    elif bandwidth is not None:
+        _number(bandwidth, f"{where}.bandwidth")
     try:
         return Kernel(kind=cfg["kind"], bandwidth=bandwidth)
     except ValueError as exc:
@@ -228,21 +253,13 @@ class _DetectorSection:
             where=where,
         )
         self.statistic = cfg["statistic"]
-        if self.statistic not in STATISTIC_KINDS:
-            raise ConfigError(
-                f"{where}.statistic: unknown statistic {self.statistic!r}; "
-                f"expected one of {list(STATISTIC_KINDS)}"
-            )
         self.window = _positive_int(cfg["window"], f"{where}.window")
         self.summary = _parse_summary(cfg.get("summary"), reference.dim)
         self.kernel = _parse_kernel(cfg.get("kernel"), reference)
-        if self.statistic == MMD and self.kernel is None:
-            raise ConfigError(f"{where}: the mmd statistic requires a kernel section")
-        if self.statistic in (KS, MEAN_DIFF) and self.summary.out_dim != 1:
-            raise ConfigError(
-                f"{where}: {self.statistic} requires scalar summaries "
-                f"(summary out_dim is {self.summary.out_dim})"
-            )
+        try:
+            check_statistic(self.statistic, self.summary.out_dim, self.window, self.kernel)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}")
         if self.summary.out_dim != reference.dim:
             raise ConfigError(
                 f"{where}: summary out_dim {self.summary.out_dim} does not match "
@@ -265,10 +282,8 @@ class _DetectorSection:
             where=where,
         )
         policy = cfg["policy"]
-        for key in ("alpha", "value"):
-            number = cfg.get(key, 0.0)  # the policy that needs a missing key says so
-            if isinstance(number, bool) or not isinstance(number, (int, float)):
-                raise ConfigError(f"{where}.{key}: expected a number, got {number!r}")
+        for key in ("alpha", "value"):  # the policy that needs a missing key says so
+            _number(cfg.get(key, 0.0), f"{where}.{key}")
         try:
             if policy == "fixed":
                 if "value" not in cfg:
@@ -310,7 +325,8 @@ class _DetectorSection:
                     ),
                 )
             if policy == "schedule_file":
-                with open(cfg["path"], "r", encoding="utf-8") as fh:
+                path = _typed(cfg["path"], str, "a string", f"{where}.path")
+                with open(path, "r", encoding="utf-8") as fh:
                     schedule = ThresholdSchedule.from_json(fh.read())
                 if schedule.w != self.window:
                     raise ConfigError(
@@ -320,6 +336,8 @@ class _DetectorSection:
                 return schedule
         except KeyError as exc:
             raise ConfigError(f"{where}: policy {policy!r} requires key {exc.args[0]!r}")
+        except ConfigError:
+            raise
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}")
         raise ConfigError(f"{where}: unknown policy {policy!r}")
@@ -507,6 +525,8 @@ def cmd_delay(args) -> int:
     model = _parse_stream(cfg.get("stream"))
     if model is None or model.change_point == math.inf:
         raise ConfigError("delay needs a stream section with a finite change_point")
+    if isinstance(cfg.get("evaluation"), dict) and "lambda" in cfg["evaluation"]:
+        raise ConfigError("evaluation.lambda: applies to arl only, not to delay")
     report = _monte_carlo(
         args, cfg, reference, det,
         lambda schedule, ev, **kw: evaluation.estimate_delay(

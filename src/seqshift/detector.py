@@ -17,13 +17,11 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .batch import make_batch_engine
+from .batch import check_statistic, make_batch_engine
 from .calibration import ThresholdSchedule
 from .statistics import (
     KS,
     MEAN_DIFF,
-    MMD,
-    STATISTIC_KINDS,
     Kernel,
     ReferenceSet,
     SlidingWindow,
@@ -48,10 +46,7 @@ class DetectorConfig:
     def __post_init__(self):
         if self.summary is None:
             object.__setattr__(self, "summary", identity(self.reference.dim))
-        if self.statistic not in STATISTIC_KINDS:
-            raise ValueError(f"unknown statistic {self.statistic!r}")
-        if self.window_size < 1:
-            raise ValueError("window_size must be >= 1")
+        check_statistic(self.statistic, self.reference.dim, self.window_size, self.kernel)
         if self.schedule.w != self.window_size:
             raise ValueError(
                 f"schedule was built for w={self.schedule.w}, detector uses "
@@ -62,13 +57,6 @@ class DetectorConfig:
                 f"summary out_dim {self.summary.out_dim} != reference dimension "
                 f"{self.reference.dim}"
             )
-        if self.statistic in (KS, MEAN_DIFF) and self.reference.dim != 1:
-            raise ValueError(f"{self.statistic} requires scalar summaries")
-        if self.statistic == MMD:
-            if self.kernel is None:
-                raise ValueError("the MMD statistic requires a kernel")
-            if self.window_size < 2:
-                raise ValueError("the MMD statistic needs window size >= 2")
 
 
 @dataclass

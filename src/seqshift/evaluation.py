@@ -20,7 +20,7 @@ from scipy import stats as sps
 
 from . import detector as detector_mod
 from . import streams
-from .batch import sliding_ks_stats, sliding_mean_diff_stats
+from .batch import check_statistic, sliding_ks_stats, sliding_mean_diff_stats
 from .calibration import ThresholdSchedule
 from .statistics import KS, MEAN_DIFF, Kernel, ReferenceSet
 from .streams import ChangePointModel, DistributionSpec
@@ -249,13 +249,14 @@ def _build_context(
     w = schedule.w
     if cap < w:
         raise ValueError("cap must be at least the window size")
+    dim = reference.dim if reference is not None else reference_spec.dim
+    check_statistic(statistic, dim, w, kernel)
     if summary is not None and summary.kind == "model_loss":
         raise ValueError(
             "model_loss summaries need per-instance labels, which synthetic "
             "streams do not carry"
         )
     if summary is None:
-        dim = reference.dim if reference is not None else reference_spec.dim
         summary = identity(dim)
     return _RunContext(
         master_seed=master_seed,

@@ -126,7 +126,36 @@ class ReferenceSet:
         return cached
 
 
-class SlidingWindow:
+class _WindowRing:
+    """Slot bookkeeping for ring buffers of the last ``w`` arrivals: slots
+    fill in order, then each arrival overwrites the oldest.  The engines in
+    :mod:`seqshift.batch` keep one ring per stream in lockstep."""
+
+    def __init__(self, w: int):
+        self.w = w
+        self._size = 0
+        self._head = 0  # the oldest slot once full
+
+    @property
+    def is_full(self) -> bool:
+        return self._size == self.w
+
+    # called on every detector step, so they read _size rather than is_full
+    def _next_slot(self) -> int:
+        """The slot the arrival goes to, evicting the oldest once full."""
+        if self._size < self.w:
+            self._size += 1
+            return self._size - 1
+        slot = self._head
+        self._head = (self._head + 1) % self.w
+        return slot
+
+    def _require_full(self) -> None:
+        if self._size < self.w:
+            raise RuntimeError("windows not yet full")
+
+
+class SlidingWindow(_WindowRing):
     """Ring buffer of the most recent summaries; a validated FIFO.
 
     Holds contents only: statistics come from the engines in
@@ -137,22 +166,16 @@ class SlidingWindow:
     def __init__(self, capacity: int, dim: int = 1):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
+        super().__init__(capacity)
         self.dim = dim
         self._buffer = np.zeros((capacity, dim), dtype=np.float64)
-        self._head = 0
-        self._size = 0
 
     def __len__(self) -> int:
         return self._size
 
-    @property
-    def is_full(self) -> bool:
-        return self._size == self.capacity
-
     def values(self) -> np.ndarray:
         """Window contents in arrival order, shape (size, dim)."""
-        if self._size < self.capacity:
+        if not self.is_full:
             return self._buffer[: self._size].copy()
         if self._head == 0:
             return self._buffer.copy()
@@ -173,12 +196,7 @@ class SlidingWindow:
             raise ValueError(f"summary has shape {s.shape}, window holds dimension {self.dim}")
         if not np.isfinite(s).all():
             raise ValueError("summary must be finite")
-        if self._size == self.capacity:
-            self._buffer[self._head] = s
-            self._head = (self._head + 1) % self.capacity
-        else:
-            self._buffer[self._size] = s
-            self._size += 1
+        self._buffer[self._next_slot()] = s
         return s
 
 

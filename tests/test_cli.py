@@ -122,8 +122,39 @@ class TestConfigValidation:
             (lambda cfg: calibrated(cfg, min_survivors="100"),
              "detector.threshold.min_survivors"),
             (lambda cfg: cfg["stream"]["pre"].update(means={"m": 0}), "stream.pre"),
+            (lambda cfg: cfg["stream"]["pre"].update(means=["0.5"]), "stream.pre.means"),
+            (lambda cfg: cfg["stream"]["pre"].update(variances="1.0"),
+             "stream.pre.variances"),
+            (lambda cfg: cfg["reference"].update(means=[None]), "reference.means"),
+            (lambda cfg: cfg["stream"]["pre"].update(
+                family="gaussian-mixture", means=[[0.0]], variances=[[1.0]], weights=[True]),
+             "stream.pre.weights"),
+            (lambda cfg: cfg["detector"].update(
+                summary={"kind": "affine_projection", "matrix": [["1"]]}),
+             "detector.summary.matrix"),
+            (lambda cfg: cfg["detector"].update(summary={"kind": "model_output", "model": {
+                "type": "linear_softmax", "weights": [[True]], "bias": [0.0]}}),
+             "detector.summary.model.weights"),
+            (lambda cfg: cfg["detector"].update(summary={"kind": "model_output", "model": {
+                "type": "linear_softmax", "weights": [[1.0]], "bias": [None]}}),
+             "detector.summary.model.bias"),
+            (lambda cfg: cfg["detector"].update(
+                statistic="mmd", kernel={"kind": "rbf", "bandwidth": "1.0"}),
+             "detector.kernel.bandwidth"),
+            (lambda cfg: cfg["detector"].update(
+                statistic="mmd", kernel={"kind": "rbf", "bandwidth": [1.0]}),
+             "detector.kernel.bandwidth"),
+            # open() takes an int path as a file descriptor; this one is never open
+            (lambda cfg: cfg.update(reference={"path": 987654}), "reference.path"),
+            (lambda cfg: cfg["detector"].update(
+                threshold={"policy": "schedule_file", "path": 987654}),
+             "detector.threshold.path"),
         ],
-        ids=["redraw_per_run", "alpha", "value", "min_survivors", "means"],
+        ids=["redraw_per_run", "alpha", "value", "min_survivors", "means",
+             "means_string", "variances_string", "reference_means_null",
+             "weights_bool", "matrix_string", "model_weights_bool", "model_bias_null",
+             "bandwidth_string", "bandwidth_list", "reference_path_number",
+             "schedule_path_number"],
     )
     def test_scalar_types_checked(self, tmp_path, capsys, mutate, field):
         cfg = base_arl_config()
@@ -144,6 +175,16 @@ class TestConfigValidation:
             main([command, *args, "--workers", workers])
         assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
+
+
+    def test_delay_refuses_lambda(self, tmp_path, capsys):
+        cfg = base_arl_config()
+        cfg["stream"].update(post=cfg["stream"]["pre"], change_point=60)
+        cfg["evaluation"]["lambda"] = 3
+        code = main(["delay", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "evaluation.lambda: applies to arl only" in capsys.readouterr().err
 
 
 class TestArlCommand:
