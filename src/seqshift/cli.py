@@ -86,7 +86,8 @@ def load_config(path) -> dict:
         required={"seed", "detector", "reference"},
         where=str(path),
     )
-    _typed(cfg["seed"], int, "an integer", "seed")
+    if _typed(cfg["seed"], int, "an integer", "seed") < 0:
+        raise ConfigError(f"seed: expected a non-negative integer, got {cfg['seed']!r}")
     return cfg
 
 
@@ -343,7 +344,10 @@ class _DetectorSection:
         raise ConfigError(f"{where}: unknown policy {policy!r}")
 
 
-def _parse_stream(cfg: dict | None) -> ChangePointModel | None:
+def _parse_stream(
+    cfg: dict | None, summary: summaries.SummaryStatistic
+) -> ChangePointModel | None:
+    """The stream model, checked against the detector's ``summary``."""
     if cfg is None:
         return None
     where = "stream"
@@ -351,12 +355,13 @@ def _parse_stream(cfg: dict | None) -> ChangePointModel | None:
     pre = _parse_distribution(cfg["pre"], f"{where}.pre")
     post = _parse_distribution(cfg["post"], f"{where}.post") if "post" in cfg else pre
     cp = cfg.get("change_point")
+    cp = math.inf if cp is None else _positive_int(cp, f"{where}.change_point")
     try:
-        return ChangePointModel(
-            pre=pre, post=post, change_point=math.inf if cp is None else cp
-        )
-    except (TypeError, ValueError) as exc:
+        model = ChangePointModel(pre=pre, post=post, change_point=cp)
+        evaluation.check_stream(model, summary)
+    except ValueError as exc:
         raise ConfigError(f"{where}: {exc}")
+    return model
 
 
 class _EvaluationSection:
@@ -430,6 +435,10 @@ def cmd_calibrate(args) -> int:
 
 def cmd_run(args) -> int:
     cfg, reference, det = _load_experiment(args)
+    if args.stream_file is None:
+        model = _parse_stream(cfg.get("stream"), det.summary)
+        if model is None:
+            raise ConfigError("run needs a stream section or --stream-file")
     schedule = det.schedule()
     ev = _EvaluationSection(cfg.get("evaluation"), schedule.alpha)
     cap = args.cap if args.cap is not None else ev.cap
@@ -445,9 +454,6 @@ def cmd_run(args) -> int:
     if args.stream_file is not None:
         stream = streams.load_stream_file(args.stream_file)
     else:
-        model = _parse_stream(cfg.get("stream"))
-        if model is None:
-            raise ConfigError("run needs a stream section or --stream-file")
         stream = streams.generate_stream(model, cap, cfg["seed"], stream_id=0)
     result = detector_mod.run(config, stream, cap, trace=args.trace is not None)
 
@@ -502,7 +508,7 @@ def _monte_carlo(args, cfg, reference, det, estimate):
 
 def cmd_arl(args) -> int:
     cfg, reference, det = _load_experiment(args)
-    model = _parse_stream(cfg.get("stream"))
+    model = _parse_stream(cfg.get("stream"), det.summary)
     if model is None:
         raise ConfigError("arl needs a stream section (the null model)")
     if model.change_point != math.inf:
@@ -522,7 +528,7 @@ def cmd_arl(args) -> int:
 
 def cmd_delay(args) -> int:
     cfg, reference, det = _load_experiment(args)
-    model = _parse_stream(cfg.get("stream"))
+    model = _parse_stream(cfg.get("stream"), det.summary)
     if model is None or model.change_point == math.inf:
         raise ConfigError("delay needs a stream section with a finite change_point")
     if isinstance(cfg.get("evaluation"), dict) and "lambda" in cfg["evaluation"]:
@@ -615,6 +621,13 @@ def _workers(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seqshift",
@@ -624,7 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment = argparse.ArgumentParser(add_help=False)
     experiment.add_argument("--config", required=True)
     experiment.add_argument("--out", required=True)
-    experiment.add_argument("--seed", type=int, default=None, help="override the config seed")
+    experiment.add_argument("--seed", type=_seed, default=None, help="override the config seed")
 
     p = sub.add_parser(
         "calibrate", parents=[experiment], help="build and save a threshold schedule"
@@ -659,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
         "so --scale 0.1 is a cheap CI version and --scale 1 the full job",
     )
     p.add_argument("--workers", type=_workers, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--cap", type=int, default=None, help="censoring cap (default 100/alpha)")
     p.set_defaults(func=cmd_reproduce_appendix)
     return parser

@@ -5,14 +5,18 @@ aggregates detection times.  Run lengths are counted in test opportunities
 (a detection at the first full-window step counts as 1), the scale on
 which the hazard/run-length targets are stated.  Parallelism is across
 runs; every run's randomness is derived from (master seed, run index), so
-reports are bitwise independent of the worker count.
+reports are bitwise independent of the worker count.  The harness keeps no
+module state: each call hands its runs their own experiment description,
+so concurrent calls (from threads, say) cannot see each other's
+references, and runs come back in run-id order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -24,11 +28,21 @@ from .batch import check_statistic, sliding_ks_stats, sliding_mean_diff_stats
 from .calibration import ThresholdSchedule
 from .statistics import KS, MEAN_DIFF, Kernel, ReferenceSet
 from .streams import ChangePointModel, DistributionSpec
-from .summaries import SummaryStatistic, identity
+from .summaries import SummaryStatistic, apply_summary, identity
+
+
+class _Report:
+    def to_dict(self) -> dict:
+        """Every field but ``runs``; ``lam`` is written as ``lambda``."""
+        return {
+            "lambda" if f.name == "lam" else f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name != "runs"
+        }
 
 
 @dataclass
-class RunLengthReport:
+class RunLengthReport(_Report):
     """Aggregate of detection times on never-changing streams.
 
     ``mean_T`` estimates the expected run length to false detection; the
@@ -53,26 +67,9 @@ class RunLengthReport:
     p_leq_lambda: Optional[float] = None
     runs: Optional[List[Tuple[int, int, bool]]] = field(default=None, repr=False)
 
-    def to_dict(self) -> dict:
-        return {
-            "n_runs": self.n_runs,
-            "cap": self.cap,
-            "w": self.w,
-            "mean_T": self.mean_T,
-            "median_T": self.median_T,
-            "q10": self.q10,
-            "q90": self.q90,
-            "standard_error": self.standard_error,
-            "censored_count": self.censored_count,
-            "alpha": self.alpha,
-            "slackness": self.slackness,
-            "lambda": self.lam,
-            "p_leq_lambda": self.p_leq_lambda,
-        }
-
 
 @dataclass
-class DelayReport:
+class DelayReport(_Report):
     """Aggregate of detection behaviour around a finite change point."""
 
     n_runs: int
@@ -83,16 +80,6 @@ class DelayReport:
     censored_count: int
     runs: Optional[List[Tuple[int, int, bool]]] = field(default=None, repr=False)
 
-    def to_dict(self) -> dict:
-        return {
-            "n_runs": self.n_runs,
-            "change_point": self.change_point,
-            "mean_delay": self.mean_delay,
-            "false_alarm_fraction": self.false_alarm_fraction,
-            "detected_after_change": self.detected_after_change,
-            "censored_count": self.censored_count,
-        }
-
 
 def slackness(report: RunLengthReport, alpha: float) -> float:
     """Ratio of the measured mean run length to the 1/alpha lower bound."""
@@ -101,78 +88,64 @@ def slackness(report: RunLengthReport, alpha: float) -> float:
     return alpha * report.mean_T
 
 
+def check_stream(model: ChangePointModel, summary: SummaryStatistic) -> None:
+    """Raise ``ValueError`` unless ``summary`` accepts the stream's samples."""
+    try:
+        apply_summary(summary, streams.sample_at(model, 1, master_seed=0))
+    except ValueError as exc:
+        raise ValueError(
+            f"{model.dim}-d stream samples do not fit the summary ({exc})"
+        ) from None
+
+
 @dataclass(frozen=True)
 class _RunContext:
-    """Shared, picklable description of one Monte Carlo experiment."""
+    """One Monte Carlo experiment; picklable, so it travels to workers."""
 
-    master_seed: int
     model: ChangePointModel
-    w: int
-    statistic: str
     schedule: ThresholdSchedule
     cap: int
+    master_seed: int
+    statistic: str
     summary: SummaryStatistic
     kernel: Optional[Kernel]
-    reference_values: Optional[np.ndarray]
+    reference: Optional[ReferenceSet]  # None: draw one per run from the recipe
     reference_spec: Optional[DistributionSpec]
     reference_size: Optional[int]
 
-    def fast_path(self) -> bool:
-        return (
-            self.statistic in (KS, MEAN_DIFF)
-            and self.summary.kind == "identity"
-            and self.model.dim == 1
-        )
 
-
-_WORKER_CTX: Optional[_RunContext] = None
-_WORKER_REF: Optional[ReferenceSet] = None
-
-
-def _init_worker(ctx: _RunContext) -> None:
-    global _WORKER_CTX, _WORKER_REF
-    _WORKER_CTX = ctx
-    _WORKER_REF = (
-        ReferenceSet(ctx.reference_values) if ctx.reference_values is not None else None
-    )
-
-
-def _reference_for_run(ctx: _RunContext, run_id: int) -> ReferenceSet:
-    if _WORKER_REF is not None:
-        return _WORKER_REF
-    values = streams.draw_reference(
-        ctx.reference_spec, ctx.reference_size, ctx.master_seed, run_id
-    )
-    return ReferenceSet(values)
+def _stream_blocks(ctx: _RunContext, run_id: int, t: int):
+    """The run's samples from step ``t`` to the cap, as (first step, block)
+    pairs; blocks grow from 128 to 1024 steps, so short runs stay cheap and
+    long runs amortize the per-block cost."""
+    size = 128
+    while t <= ctx.cap:
+        count = min(size, ctx.cap - t + 1)
+        yield t, streams.generate_chunk(ctx.model, t, count, ctx.master_seed, run_id)
+        t += count
+        size = min(size * 2, 1024)
 
 
 def _fast_detection_time(
     ctx: _RunContext, ref: ReferenceSet, run_id: int
 ) -> Optional[int]:
     """Vectorized sliding-window scan; bitwise equal to the stepped detector."""
-    w = ctx.w
+    w = ctx.schedule.w
     carry = (
         streams.generate_chunk(ctx.model, 1, w - 1, ctx.master_seed, run_id)[:, 0]
         if w > 1
         else np.empty(0, dtype=np.float64)
     )
-    # grow the chunk geometrically: short runs stay cheap, long runs amortize
-    chunk = 128
-    t0 = w
-    while t0 <= ctx.cap:
-        count = min(chunk, ctx.cap - t0 + 1)
-        chunk = min(chunk * 2, 1024)
-        new = streams.generate_chunk(ctx.model, t0, count, ctx.master_seed, run_id)[:, 0]
-        buf = np.concatenate((carry, new))
+    for t0, block in _stream_blocks(ctx, run_id, w):
+        buf = np.concatenate((carry, block[:, 0]))
         if ctx.statistic == KS:
             stats = sliding_ks_stats(buf, ref, w)
         else:
             stats = sliding_mean_diff_stats(buf, ref, w)
-        hits = stats > ctx.schedule.thresholds_for_range(t0, count)
+        hits = stats > ctx.schedule.thresholds_for_range(t0, len(block))
         if np.any(hits):
             return t0 + int(np.argmax(hits))
-        carry = buf[count:].copy() if w > 1 else carry
-        t0 += count
+        carry = buf[len(block):]
     return None
 
 
@@ -182,51 +155,30 @@ def _stepped_detection_time(
     config = detector_mod.DetectorConfig(
         reference=ref,
         schedule=ctx.schedule,
-        window_size=ctx.w,
+        window_size=ctx.schedule.w,
         statistic=ctx.statistic,
         summary=ctx.summary,
         kernel=ctx.kernel,
     )
-
-    def stream():
-        chunk = 2048
-        t = 1
-        while t <= ctx.cap:
-            count = min(chunk, ctx.cap - t + 1)
-            block = streams.generate_chunk(ctx.model, t, count, ctx.master_seed, run_id)
-            yield from block
-            t += count
-
-    result = detector_mod.run(config, stream(), ctx.cap)
-    return result.detection_time
+    stream = (x for _, block in _stream_blocks(ctx, run_id, 1) for x in block)
+    return detector_mod.run(config, stream, ctx.cap).detection_time
 
 
-def _execute_run(run_id: int) -> Tuple[int, Optional[int]]:
-    ctx = _WORKER_CTX
-    ref = _reference_for_run(ctx, run_id)
-    if ctx.fast_path():
-        return run_id, _fast_detection_time(ctx, ref, run_id)
-    return run_id, _stepped_detection_time(ctx, ref, run_id)
+def _detection_time(ctx: _RunContext, run_id: int) -> Optional[int]:
+    ref = ctx.reference
+    if ref is None:
+        ref = ReferenceSet(streams.draw_reference(
+            ctx.reference_spec, ctx.reference_size, ctx.master_seed, run_id
+        ))
+    if ctx.statistic in (KS, MEAN_DIFF) and ctx.summary.kind == "identity":
+        return _fast_detection_time(ctx, ref, run_id)
+    return _stepped_detection_time(ctx, ref, run_id)
 
 
-def _collect_detection_times(
-    ctx: _RunContext, n_runs: int, workers: int
-) -> List[Tuple[int, Optional[int]]]:
-    run_ids = list(range(n_runs))
-    if workers <= 1:
-        _init_worker(ctx)
-        results = [_execute_run(i) for i in run_ids]
-    else:
-        with multiprocessing.Pool(
-            processes=workers, initializer=_init_worker, initargs=(ctx,)
-        ) as pool:
-            results = pool.map(_execute_run, run_ids, chunksize=max(1, n_runs // (workers * 8)))
-    return sorted(results)
-
-
-def _build_context(
+def _detection_times(
     schedule: ThresholdSchedule,
     model: ChangePointModel,
+    n_runs: int,
     cap: int,
     master_seed: int,
     statistic: str,
@@ -235,7 +187,12 @@ def _build_context(
     reference: Optional[ReferenceSet],
     reference_spec: Optional[DistributionSpec],
     reference_size: Optional[int],
-) -> _RunContext:
+    workers: int,
+) -> List[Optional[int]]:
+    """Validate one experiment, then each run's detection time (None when
+    censored), in run-id order."""
+    if n_runs < 1:
+        raise ValueError("n_runs must be >= 1")
     if (reference is None) == (reference_spec is None):
         raise ValueError("pass exactly one of reference / reference_spec")
     if reference_spec is not None:
@@ -246,11 +203,10 @@ def _build_context(
                 "per-run reference redraw only makes sense with fixed thresholds; "
                 "calibrated schedules belong to one concrete reference"
             )
-    w = schedule.w
-    if cap < w:
+    if cap < schedule.w:
         raise ValueError("cap must be at least the window size")
     dim = reference.dim if reference is not None else reference_spec.dim
-    check_statistic(statistic, dim, w, kernel)
+    check_statistic(statistic, dim, schedule.w, kernel)
     if summary is not None and summary.kind == "model_loss":
         raise ValueError(
             "model_loss summaries need per-instance labels, which synthetic "
@@ -258,19 +214,17 @@ def _build_context(
         )
     if summary is None:
         summary = identity(dim)
-    return _RunContext(
-        master_seed=master_seed,
-        model=model,
-        w=w,
-        statistic=statistic,
-        schedule=schedule,
-        cap=cap,
-        summary=summary,
-        kernel=kernel,
-        reference_values=None if reference is None else reference.values,
-        reference_spec=reference_spec,
-        reference_size=reference_size,
-    )
+    if summary.out_dim != dim:
+        raise ValueError(f"summary out_dim {summary.out_dim} != reference dimension {dim}")
+    check_stream(model, summary)
+    run = functools.partial(_detection_time, _RunContext(
+        model, schedule, cap, master_seed, statistic, summary, kernel,
+        reference, reference_spec, reference_size,
+    ))
+    if workers <= 1:
+        return [run(run_id) for run_id in range(n_runs)]
+    with multiprocessing.Pool(processes=workers) as pool:
+        return pool.map(run, range(n_runs), chunksize=max(1, n_runs // (workers * 8)))
 
 
 def estimate_arl0(
@@ -295,26 +249,16 @@ def estimate_arl0(
     """
     if null_model.change_point != math.inf:
         raise ValueError("estimate_arl0 requires a never-changing stream model")
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
-    ctx = _build_context(
-        schedule, null_model, cap, master_seed, statistic, summary, kernel,
-        reference, reference_spec, reference_size,
+    times = _detection_times(
+        schedule, null_model, n_runs, cap, master_seed, statistic, summary, kernel,
+        reference, reference_spec, reference_size, workers,
     )
-    results = _collect_detection_times(ctx, n_runs, workers)
-
     w = schedule.w
-    cap_rel = cap - w + 1
-    rows: List[Tuple[int, int, bool]] = []
-    rel = np.empty(n_runs, dtype=np.float64)
-    censored_count = 0
-    for run_id, t_abs in results:
-        censored = t_abs is None
-        t_rel = cap_rel if censored else t_abs - w + 1
-        censored_count += censored
-        rel[run_id] = t_rel
-        rows.append((run_id, t_rel, censored))
-
+    rows = [
+        (run_id, cap - w + 1 if t is None else t - w + 1, t is None)
+        for run_id, t in enumerate(times)
+    ]
+    rel = np.array([t_rel for _, t_rel, _ in rows], dtype=np.float64)
     alpha = schedule.alpha
     mean_t = float(np.mean(rel))
     return RunLengthReport(
@@ -328,7 +272,7 @@ def estimate_arl0(
         standard_error=(
             float(np.std(rel, ddof=1) / math.sqrt(n_runs)) if n_runs > 1 else float("nan")
         ),
-        censored_count=censored_count,
+        censored_count=times.count(None),
         alpha=alpha,
         slackness=None if alpha is None else alpha * mean_t,
         lam=lam,
@@ -363,37 +307,22 @@ def estimate_delay(
             "estimate_delay requires a finite change point at or after the first "
             "test step; use estimate_arl0 for never-changing streams"
         )
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
-    ctx = _build_context(
-        schedule, model, cap, master_seed, statistic, summary, kernel,
-        reference, reference_spec, reference_size,
+    times = _detection_times(
+        schedule, model, n_runs, cap, master_seed, statistic, summary, kernel,
+        reference, reference_spec, reference_size, workers,
     )
-    results = _collect_detection_times(ctx, n_runs, workers)
-
     tau = int(tau)
-    rows: List[Tuple[int, int, bool]] = []
-    delays: List[int] = []
-    false_alarms = 0
-    censored_count = 0
-    for run_id, t_abs in results:
-        if t_abs is None:
-            censored_count += 1
-            rows.append((run_id, -1, True))
-            continue
-        rows.append((run_id, t_abs, False))
-        if t_abs < tau:
-            false_alarms += 1
-        else:
-            delays.append(t_abs - tau)
+    delays = [t - tau for t in times if t is not None and t >= tau]
     return DelayReport(
         n_runs=n_runs,
         change_point=tau,
         mean_delay=float(np.mean(delays)) if delays else None,
-        false_alarm_fraction=false_alarms / n_runs,
+        false_alarm_fraction=sum(t is not None and t < tau for t in times) / n_runs,
         detected_after_change=len(delays),
-        censored_count=censored_count,
-        runs=rows,
+        censored_count=times.count(None),
+        runs=[
+            (run_id, -1 if t is None else t, t is None) for run_id, t in enumerate(times)
+        ],
     )
 
 

@@ -206,7 +206,12 @@ def load_stream_file(path) -> np.ndarray:
             if line.startswith("#"):
                 body = line[1:].strip()
                 if body.startswith("dim="):
-                    declared = int(body[4:])
+                    try:
+                        declared = int(body[4:])
+                    except ValueError as exc:
+                        raise ValueError(
+                            f"{path}:{lineno}: unparseable header: {line!r}"
+                        ) from exc
                 continue
             try:
                 row = [float(tok) for tok in line.split(",")]

@@ -12,6 +12,7 @@ from seqshift import (
     ks_asymptotic_threshold,
     null_model,
 )
+from seqshift import calibration
 from seqshift.cli import main
 from seqshift.streams import save_stream_file
 
@@ -149,17 +150,25 @@ class TestConfigValidation:
             (lambda cfg: cfg["detector"].update(
                 threshold={"policy": "schedule_file", "path": 987654}),
              "detector.threshold.path"),
+            # the change-point cases run delay, where a bad change point is not
+            # caught by arl's own never-changing check
+            (lambda cfg: cfg["stream"].update(change_point=True), "stream.change_point"),
+            (lambda cfg: cfg["stream"].update(change_point=30.0), "stream.change_point"),
+            (lambda cfg: cfg["stream"].update(change_point="30"), "stream.change_point"),
+            (lambda cfg: cfg.update(seed=-3), "seed"),
         ],
         ids=["redraw_per_run", "alpha", "value", "min_survivors", "means",
              "means_string", "variances_string", "reference_means_null",
              "weights_bool", "matrix_string", "model_weights_bool", "model_bias_null",
              "bandwidth_string", "bandwidth_list", "reference_path_number",
-             "schedule_path_number"],
+             "schedule_path_number", "change_point_bool", "change_point_float",
+             "change_point_string", "seed_negative"],
     )
     def test_scalar_types_checked(self, tmp_path, capsys, mutate, field):
         cfg = base_arl_config()
         mutate(cfg)
-        code = main(["arl", "--config", write_config(tmp_path, cfg),
+        command = "delay" if "change_point" in cfg["stream"] else "arl"
+        code = main([command, "--config", write_config(tmp_path, cfg),
                      "--out", str(tmp_path / "r.json")])
         assert code == 2
         assert field in capsys.readouterr().err
@@ -175,6 +184,37 @@ class TestConfigValidation:
             main([command, *args, "--workers", workers])
         assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", ["calibrate", "run", "arl", "delay", "reproduce-appendix"]
+    )
+    def test_seed_flag_must_be_non_negative(self, tmp_path, capsys, command):
+        args = ["--config", "x", "--out", "y"]
+        if command == "reproduce-appendix":
+            args = ["--out-dir", str(tmp_path / "d"), "--scale", "0"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, "--seed", "-3"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["arl", "delay", "run"])
+    def test_stream_must_fit_summary_before_calibrating(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        cfg = base_arl_config()
+        calibrated(cfg)
+        plane = {"family": "gaussian", "means": [0.0, 0.0], "variances": [1.0, 1.0]}
+        cfg["stream"] = {"pre": plane}
+        if command == "delay":
+            cfg["stream"].update(post=plane, change_point=60)
+        monkeypatch.setattr(
+            calibration, "calibrate_schedule",
+            lambda *args, **kwargs: pytest.fail("calibrated before checking the stream"),
+        )
+        code = main([command, "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "stream: 2-d stream samples do not fit the summary" in capsys.readouterr().err
 
 
     def test_delay_refuses_lambda(self, tmp_path, capsys):

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -6,20 +9,24 @@ import pytest
 from seqshift import (
     CalibrationTarget,
     ChangePointModel,
+    DetectorConfig,
     DistributionSpec,
+    Kernel,
     ReferenceSet,
     calibrate_schedule,
     draw_reference,
     estimate_arl0,
     estimate_delay,
     fixed_threshold,
+    generate_stream,
     geometric_gof_pvalue,
     ks_asymptotic_threshold,
     null_model,
     slackness,
 )
+from seqshift import run as run_detector
 from seqshift.evaluation import RunLengthReport
-from seqshift.summaries import SummaryStatistic, squared_error_loss
+from seqshift.summaries import SummaryStatistic, identity, squared_error_loss
 
 
 class TestEstimateArl0:
@@ -100,24 +107,113 @@ class TestEstimateArl0:
         )
         assert report.slackness == pytest.approx(slackness(report, 0.05))
 
-    def test_fast_and_stepped_paths_agree(self, std_normal):
-        """mean_diff and ks fast scans equal the per-step detector exactly."""
-        from seqshift import evaluation
-
-        ref = ReferenceSet(draw_reference(std_normal, 150, master_seed=21))
-        for statistic, h in (("ks", 0.28), ("mean_diff", 0.15)):
-            sched = fixed_threshold(h, w=25, alpha=None)
-            ctx = evaluation._build_context(
-                sched, null_model(std_normal), 1500, 77, statistic, None, None,
-                ref, None, None,
+    def test_stream_must_fit_summary(self, small_reference):
+        plane = DistributionSpec.gaussian([0.0, 0.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="2-d stream samples do not fit the summary"):
+            estimate_arl0(
+                fixed_threshold(0.5, w=5), null_model(plane), 3, 50, 0,
+                reference=small_reference,
             )
-            for run_id in range(15):
-                fast = evaluation._fast_detection_time(ctx, ref, run_id)
-                stepped = evaluation._stepped_detection_time(ctx, ref, run_id)
-                assert fast == stepped, (statistic, run_id)
+        # a 2-d identity summary fits the stream but not the 1-d reference
+        with pytest.raises(ValueError, match="summary out_dim 2 != reference dimension 1"):
+            estimate_arl0(
+                fixed_threshold(0.5, w=5), null_model(plane), 3, 50, 0,
+                summary=identity(2), reference=small_reference,
+            )
+
+    def test_fast_and_stepped_paths_agree(self):
+        """Every estimate_* run table equals detector.run on the same streams,
+        for ks, mean_diff and mmd, identity and affine-projected summaries,
+        a shared and a redrawn reference, and one and two workers."""
+        seed, n_runs, cap, tau = 77, 6, 400, 60
+        cases = [  # statistic, window, threshold, out_dim, projection (None: identity)
+            (statistic, w, h, out_dim, projection)
+            for statistic, w, h, out_dim, projections in (
+                ("ks", 20, 0.4, 1, [[0.6, 0.8]]),
+                ("mean_diff", 20, 0.5, 1, [[0.6, 0.8]]),
+                ("mmd", 10, 0.2, 2, [[1.0, 0.5, 0.0], [0.0, 0.8, 0.6]]),
+            )
+            for projection in (None, projections)
+        ]
+        outcomes = set()
+        for statistic, w, h, out_dim, projection in cases:
+            in_dim = out_dim if projection is None else len(projection[0])
+            pre = DistributionSpec.gaussian([0.0] * in_dim, [1.0] * in_dim)
+            post = DistributionSpec.gaussian([-1.0] * in_dim, [1.0] * in_dim)
+            spec = DistributionSpec.gaussian([0.0] * out_dim, [1.0] * out_dim)
+            summary = None if projection is None else SummaryStatistic(
+                kind="affine_projection", out_dim=out_dim, projection=np.array(projection)
+            )
+            kernel = Kernel("rbf", 1.0) if statistic == "mmd" else None
+            schedule = fixed_threshold(h, w=w)
+            shared = ReferenceSet(draw_reference(spec, 100, master_seed=21))
+            for redraw in (False, True):
+                ref_kwargs = (
+                    dict(reference_spec=spec, reference_size=100) if redraw
+                    else dict(reference=shared)
+                )
+                for estimate, model in (
+                    (estimate_arl0, null_model(pre)),
+                    (estimate_delay, ChangePointModel(pre, post, tau)),
+                ):
+                    times = []
+                    for run_id in range(n_runs):
+                        ref = (
+                            ReferenceSet(draw_reference(spec, 100, seed, run_id))
+                            if redraw else shared
+                        )
+                        config = DetectorConfig(
+                            reference=ref, schedule=schedule, window_size=w,
+                            statistic=statistic, summary=summary, kernel=kernel,
+                        )
+                        stream = generate_stream(model, cap, seed, run_id)
+                        times.append(run_detector(config, stream, cap).detection_time)
+                    if estimate is estimate_arl0:
+                        want = [(i, cap - w + 1 if t is None else t - w + 1, t is None)
+                                for i, t in enumerate(times)]
+                    else:
+                        want = [(i, -1 if t is None else t, t is None)
+                                for i, t in enumerate(times)]
+                    outcomes.update(t is None for t in times)
+                    for workers in (1, 2):
+                        report = estimate(
+                            schedule, model, n_runs, cap, seed, statistic=statistic,
+                            summary=summary, kernel=kernel, workers=workers, **ref_kwargs,
+                        )
+                        case = (statistic, projection, redraw, estimate.__name__, workers)
+                        assert report.runs == want, case
+        assert outcomes == {True, False}
 
 
 class TestWorkerDeterminism:
+    def test_concurrent_calls_keep_their_references(self, std_normal):
+        """Two threads estimating at once each see only their own reference."""
+        schedule = fixed_threshold(0.3, w=20)
+        references = [
+            ReferenceSet(draw_reference(DistributionSpec.gaussian(mean, 1.0), 300, 3))
+            for mean in (0.0, 1.5)
+        ]
+
+        def runs(reference, barrier=None):
+            if barrier is not None:  # start both threads together
+                barrier.wait(timeout=60)
+            return estimate_arl0(
+                schedule, null_model(std_normal), n_runs=100, cap=1000, master_seed=5,
+                reference=reference,
+            ).runs
+
+        serial = [runs(reference) for reference in references]
+        barrier = threading.Barrier(len(references))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so the calls interleave
+        try:
+            with ThreadPoolExecutor(len(references)) as pool:
+                calls = pool.map(lambda ref: runs(ref, barrier), references, timeout=120)
+                threaded = list(calls)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
     def test_reports_identical_across_worker_counts(self, std_normal):
         sched = ks_asymptotic_threshold(300, 10, 0.05)
         reports = [

@@ -175,6 +175,13 @@ class TestStreamFiles:
         with pytest.raises(ValueError, match="unparseable"):
             load_stream_file(path)
 
+    def test_unparseable_header_names_file_and_line(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("1.0\n# dim=abc\n2.0\n")
+        with pytest.raises(ValueError) as exc:
+            load_stream_file(path)
+        assert str(exc.value) == f"{path}:2: unparseable header: '# dim=abc'"
+
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("# dim=1\n")
