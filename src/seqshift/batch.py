@@ -9,6 +9,13 @@ the number of rows, and the ``sliding_*_stats`` scans the Monte Carlo
 harness uses on scalar streams repeat the engines' expressions, so a
 vectorized run and a stepped run of the same stream agree bitwise.
 
+Calibration only ever pushes reference atoms, so it passes their indices
+as ``push_column(..., atoms=idx)``.  The engines then gather per-atom
+state computed once, on first use, by the very expression the value path
+applies to an arbitrary point (KS reference CDF counts, MMD reference
+cross sums), so both paths give the same bits.  The detector pushes
+points and evaluates them.
+
 :func:`check_statistic` is the one statement of each statistic's rules;
 the engines, the detector, calibration, the Monte Carlo harness and the
 CLI call it rather than restate them.
@@ -83,7 +90,8 @@ class BatchKsEngine(_WindowRing):
     """Lockstep sliding windows for many streams, KS statistic.
 
     Stores each element's reference CDF counts rather than its value: one
-    binary search per arriving element, integer sorts per statistic.
+    binary search per arriving value, or a gather from the per-atom counts
+    when the arrivals are reference atoms; integer sorts per statistic.
     """
 
     def __init__(self, reference: ReferenceSet, w: int, n_streams: int):
@@ -91,12 +99,26 @@ class BatchKsEngine(_WindowRing):
         self.reference = reference
         self._left = np.zeros((n_streams, w), dtype=np.int32)
         self._right = np.zeros((n_streams, w), dtype=np.int32)
+        self._atom_counts: Optional[tuple[np.ndarray, np.ndarray]] = None
 
-    def push_column(self, col: np.ndarray, active: Optional[np.ndarray]) -> None:
-        col = np.asarray(col, dtype=np.float64).reshape(-1)
+    def _cdf_counts(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Left and right reference CDF counts of each value."""
         ref_sorted = self.reference.sorted_values
-        left = np.searchsorted(ref_sorted, col, side="left").astype(np.int32)
-        right = np.searchsorted(ref_sorted, col, side="right").astype(np.int32)
+        left = np.searchsorted(ref_sorted, values, side="left").astype(np.int32)
+        right = np.searchsorted(ref_sorted, values, side="right").astype(np.int32)
+        return left, right
+
+    def push_column(
+        self, col: np.ndarray, active: Optional[np.ndarray], atoms: Optional[np.ndarray] = None
+    ) -> None:
+        """Append one value per row; ``atoms``, if given, are the reference
+        indices the values were drawn from (``col == reference.values[atoms]``)."""
+        if atoms is None:
+            left, right = self._cdf_counts(np.asarray(col, dtype=np.float64).reshape(-1))
+        else:
+            if self._atom_counts is None:
+                self._atom_counts = self._cdf_counts(self.reference.values[:, 0])
+            left, right = (counts[atoms] for counts in self._atom_counts)
         # dead rows receive garbage harmlessly; they are never read again
         slot = self._next_slot()
         self._left[:, slot] = left
@@ -122,7 +144,10 @@ class BatchMeanDiffEngine(_WindowRing):
         self.reference = reference
         self._buffer = np.zeros((n_streams, 2 * w), dtype=np.float64)
 
-    def push_column(self, col: np.ndarray, active: Optional[np.ndarray]) -> None:
+    def push_column(
+        self, col: np.ndarray, active: Optional[np.ndarray], atoms: Optional[np.ndarray] = None
+    ) -> None:
+        """Append one value per row; ``atoms`` is accepted and ignored."""
         col = np.asarray(col, dtype=np.float64).reshape(-1)
         slot = self._next_slot()
         self._buffer[:, slot] = col
@@ -138,11 +163,12 @@ class BatchMmdEngine(_WindowRing):
     """Lockstep sliding windows for many streams, unbiased squared MMD.
 
     Maintains each stream's window self-sum and reference cross-sum
-    incrementally (O(n + w) kernel evaluations per stream per step); each
-    slot's reference cross sum is stored, so an eviction subtracts it
-    without re-evaluating the kernel.  The reference self-sum is shared by
-    all streams.  Sums are rebuilt from the buffers every
-    ``_REFRESH_EVERY`` pushes to bound float drift.
+    incrementally (O(n + w) kernel evaluations per stream per step, or
+    O(w) when the arrivals are reference atoms, whose cross sums are
+    gathered from a per-atom table); each slot's reference cross sum is
+    stored, so an eviction subtracts it without re-evaluating the kernel.
+    The reference self-sum is shared by all streams.  Sums are rebuilt from
+    the buffers every ``_REFRESH_EVERY`` pushes to bound float drift.
     """
 
     _CROSS_CHUNK = 1024
@@ -159,6 +185,7 @@ class BatchMmdEngine(_WindowRing):
         self._pushes_since_refresh = 0
         self._a_sum = reference.kernel_self_sum(kernel)
         self._ref_sum = reference.values.sum(axis=0)
+        self._atom_cross: Optional[np.ndarray] = None
 
     def _rowwise_kernel(self, points: np.ndarray, windows: np.ndarray) -> np.ndarray:
         """k(points[i], windows[i, j]) for each row i -> (rows, window_len)."""
@@ -190,19 +217,29 @@ class BatchMmdEngine(_WindowRing):
             ).sum(axis=1)
         return out
 
-    def push_column(self, col: np.ndarray, active: Optional[np.ndarray]) -> None:
+    def push_column(
+        self, col: np.ndarray, active: Optional[np.ndarray], atoms: Optional[np.ndarray] = None
+    ) -> None:
+        """Append one point per row; ``atoms``, if given, are the reference
+        indices the points were drawn from (``col == reference.values[atoms]``)."""
         col = np.asarray(col, dtype=np.float64)
         if col.ndim == 1:
             col = col[:, None]
         rows = slice(None) if active is None else active
-        cross = self._cross_sums(col[rows])
+        if atoms is None:
+            cross = self._cross_sums(col[rows])
+        else:
+            if self._atom_cross is None:
+                self._atom_cross = self._cross_sums(self.reference.values)
+            cross = self._atom_cross[atoms[rows]]
         evicting = self.is_full
         slot = self._next_slot()
         if evicting:
-            mask = np.ones(self.w, dtype=bool)
-            mask[slot] = False
+            keep = np.arange(self.w - 1)
+            keep[slot:] += 1  # every slot but the evicted one, in slot order
             old = self._buffer[rows, slot]
-            others = self._buffer[rows][:, mask]
+            # one gather of the live rows' kept slots
+            others = self._buffer[rows if active is None else rows[:, None], keep]
             k_old = self._rowwise_kernel(old, others)
             self._b_sums[rows] -= 2.0 * k_old.sum(axis=1)
             self._c_sums[rows] -= self._slot_cross[rows, slot]

@@ -281,9 +281,11 @@ def calibrate_schedule(
     quantile of the surviving streams' statistics becomes the threshold,
     and streams strictly above it are eliminated -- exactly mirroring a
     deployed detector, so surviving streams at step t reproduce the
-    conditional statistic distribution given no detection before t.  The
-    cost of one statistic evaluation is amortised across all streams
-    through shared reference-side caches.
+    conditional statistic distribution given no detection before t.  Every
+    pushed point is a reference atom, so the engine receives the drawn
+    atom indices and gathers per-atom tables it builds once over the
+    reference (KS reference CDF counts, MMD reference cross sums) instead
+    of evaluating each point against the whole reference at every step.
 
     Raises if the surviving-stream count falls (or is bound to fall) below
     ``min_survivors`` before ``t_max``; the message carries the sizing
@@ -307,7 +309,8 @@ def calibrate_schedule(
 
     engine = make_batch_engine(statistic, reference, w, n_streams, kernel)
     for j in range(w - 1):
-        engine.push_column(reference.values[draws[:, j]], None)
+        atoms = draws[:, j]
+        engine.push_column(reference.values[atoms], None, atoms=atoms)
 
     active = np.arange(n_streams)
     values = np.empty(t_max - w + 1, dtype=np.float64)
@@ -319,7 +322,8 @@ def calibrate_schedule(
                 f"{t}; size the simulation with n_streams >= ceil(min_survivors / "
                 f"(1 - alpha) ** (t_max - w + 1)) = {required_streams(alpha, w, t_max, min_survivors)}"
             )
-        engine.push_column(reference.values[draws[:, t - 1]], active)
+        atoms = draws[:, t - 1]
+        engine.push_column(reference.values[atoms], active, atoms=atoms)
         stats = engine.statistics(active)
         h = high_order_statistic(stats, alpha)
         values[t - w] = h

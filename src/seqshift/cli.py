@@ -439,6 +439,12 @@ def cmd_run(args) -> int:
         model = _parse_stream(cfg.get("stream"), det.summary)
         if model is None:
             raise ConfigError("run needs a stream section or --stream-file")
+    else:
+        stream = streams.load_stream_file(args.stream_file)
+        try:
+            evaluation.check_sample(stream[0], det.summary)
+        except ValueError as exc:
+            raise ConfigError(f"--stream-file {args.stream_file}: {exc}")
     schedule = det.schedule()
     ev = _EvaluationSection(cfg.get("evaluation"), schedule.alpha)
     cap = args.cap if args.cap is not None else ev.cap
@@ -451,9 +457,7 @@ def cmd_run(args) -> int:
         summary=det.summary,
         kernel=det.kernel,
     )
-    if args.stream_file is not None:
-        stream = streams.load_stream_file(args.stream_file)
-    else:
+    if args.stream_file is None:
         stream = streams.generate_stream(model, cap, cfg["seed"], stream_id=0)
     result = detector_mod.run(config, stream, cap, trace=args.trace is not None)
 

@@ -90,11 +90,16 @@ def slackness(report: RunLengthReport, alpha: float) -> float:
 
 def check_stream(model: ChangePointModel, summary: SummaryStatistic) -> None:
     """Raise ``ValueError`` unless ``summary`` accepts the stream's samples."""
+    check_sample(streams.sample_at(model, 1, master_seed=0), summary)
+
+
+def check_sample(sample: np.ndarray, summary: SummaryStatistic) -> None:
+    """Raise ``ValueError`` unless ``summary`` accepts one stream sample."""
     try:
-        apply_summary(summary, streams.sample_at(model, 1, master_seed=0))
+        apply_summary(summary, sample)
     except ValueError as exc:
         raise ValueError(
-            f"{model.dim}-d stream samples do not fit the summary ({exc})"
+            f"{np.size(sample)}-d stream samples do not fit the summary ({exc})"
         ) from None
 
 

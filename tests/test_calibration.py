@@ -6,6 +6,8 @@ import pytest
 
 from seqshift import (
     CalibrationTarget,
+    DistributionSpec,
+    Kernel,
     ReferenceSet,
     ThresholdSchedule,
     calibrate_schedule,
@@ -259,3 +261,32 @@ class TestCalibrationTarget:
             CalibrationTarget(alpha=0.0)
         with pytest.raises(ValueError):
             CalibrationTarget(alpha=1.0)
+
+
+class TestCalibrationCost:
+    def test_mmd_kernel_rows_independent_of_streams_and_steps(self, monkeypatch):
+        """Calibration evaluates the kernel once per reference atom, never per
+        pushed point: the rows handed to ``Kernel.matrix`` stay at n whatever
+        ``n_streams`` and ``t_max`` are."""
+        plane = DistributionSpec.gaussian([0.0, 0.0], [1.0, 1.0])
+        reference = ReferenceSet(draw_reference(plane, 150, master_seed=3))
+        kernel = Kernel("rbf", bandwidth=1.0)
+        reference.kernel_self_sum(kernel)  # cached on the reference, shared by every engine
+        rows = []
+        matrix = Kernel.matrix
+
+        def counting_matrix(self, X, Y):
+            rows.append(np.atleast_2d(X).shape[0])
+            return matrix(self, X, Y)
+
+        monkeypatch.setattr(Kernel, "matrix", counting_matrix)
+        counted = []
+        for n_streams, t_max in ((300, 20), (600, 20), (300, 30)):
+            rows.clear()
+            calibrate_schedule(
+                reference, 10, CalibrationTarget(0.05), t_max=t_max, n_streams=n_streams,
+                statistic="mmd", kernel=kernel, master_seed=4,
+            )
+            counted.append(sum(rows))
+        assert counted[0] <= reference.n
+        assert counted == [counted[0]] * 3

@@ -216,6 +216,24 @@ class TestConfigValidation:
         assert code == 2
         assert "stream: 2-d stream samples do not fit the summary" in capsys.readouterr().err
 
+    def test_stream_file_must_fit_summary_before_calibrating(
+        self, tmp_path, capsys, monkeypatch, rng
+    ):
+        cfg = base_arl_config()
+        calibrated(cfg)
+        del cfg["stream"]
+        stream_path = tmp_path / "plane.csv"
+        save_stream_file(stream_path, rng.normal(size=(50, 2)))
+        monkeypatch.setattr(
+            calibration, "calibrate_schedule",
+            lambda *args, **kwargs: pytest.fail("calibrated before checking the stream file"),
+        )
+        code = main(["run", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "r.json"), "--stream-file", str(stream_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"--stream-file {stream_path}: 2-d stream samples do not fit the summary" in err
+
 
     def test_delay_refuses_lambda(self, tmp_path, capsys):
         cfg = base_arl_config()

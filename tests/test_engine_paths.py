@@ -4,7 +4,9 @@ The detector steps a one-row engine, calibration advances many rows of the
 same engine in lockstep (dropping eliminated rows), and the Monte Carlo
 fast path scans scalar streams with ``sliding_*_stats``.  All three must
 produce the same bits, and all must match the plain definitions in
-``seqshift.statistics``.
+``seqshift.statistics``.  Calibration pushes reference atoms by index, so
+an engine fed atom indices must also match the same engine fed the atoms'
+values, bit for bit.
 """
 
 import math
@@ -33,12 +35,14 @@ def cases(draw):
         n=draw(st.integers(2, 60)),
         w=draw(st.integers(2 if mmd else 1, 30)),
         d=draw(st.integers(1, 4)) if mmd else 1,
-        kernel=draw(st.sampled_from(("rbf", "linear"))) if mmd else None,
+        kernel=draw(st.sampled_from(("rbf", "linear", "constant"))) if mmd else None,
         rows=draw(st.integers(1, 4)),
         extra_steps=draw(st.integers(0, 50)),
         seed=draw(st.integers(0, 2**32 - 1)),
         # rounding makes ties between window and reference values
         decimals=draw(st.sampled_from((1, 3, None))),
+        # streams of reference atoms, pushed by index as calibration does
+        atoms=draw(st.booleans()),
     )
 
 
@@ -53,18 +57,22 @@ def detector_sequence(config, stream):
     return np.array(out)
 
 
-def lockstep_sequences(config, streams, gen):
-    """Every row's statistics from one engine, eliminating rows as calibration does."""
+def lockstep_sequences(config, streams, seed, atoms=None):
+    """Every row's statistics from one engine, eliminating rows as calibration
+    does (at random, from ``seed``); ``atoms`` are the streams' reference
+    indices, handed to the engine as calibration hands them."""
+    gen = np.random.default_rng(seed)
     rows, steps, _ = streams.shape
     w = config.window_size
     engine = make_batch_engine(config.statistic, config.reference, w, rows, config.kernel)
     out = [[] for _ in range(rows)]
     active = np.arange(rows)
     for t in range(steps):
+        col_atoms = None if atoms is None else atoms[:, t]
         if t < w - 1:
-            engine.push_column(streams[:, t], None)
+            engine.push_column(streams[:, t], None, atoms=col_atoms)
             continue
-        engine.push_column(streams[:, t], active)
+        engine.push_column(streams[:, t], active, atoms=col_atoms)
         for row, value in zip(active, engine.statistics(active)):
             out[row].append(value)
         if active.shape[0] > 1 and gen.random() < 0.1:
@@ -87,17 +95,22 @@ def oracle_sequence(config, stream):
 def test_detector_engine_and_sliding_scan_agree_bitwise(case):
     gen = np.random.default_rng(case["seed"])
     statistic, w, d, rows = case["statistic"], case["w"], case["d"], case["rows"]
+    steps = w + case["extra_steps"]
     ref_values = gen.normal(size=(case["n"], d))
-    streams = gen.normal(0.3, 1.2, size=(rows, w + case["extra_steps"], d))
+    streams = gen.normal(0.3, 1.2, size=(rows, steps, d))
     if case["decimals"] is not None:
         ref_values = np.round(ref_values, case["decimals"])
         streams = np.round(streams, case["decimals"])
     reference = ReferenceSet(ref_values)
+    atoms = None
+    if case["atoms"]:
+        atoms = gen.integers(case["n"], size=(rows, steps))
+        streams = reference.values[atoms]
     kernel = None
     if case["kernel"] == "rbf":
         kernel = Kernel("rbf", bandwidth=float(gen.uniform(0.3, 3.0)))
-    elif case["kernel"] == "linear":
-        kernel = Kernel("linear")
+    elif case["kernel"] is not None:
+        kernel = Kernel(case["kernel"])
     config = DetectorConfig(
         reference=reference,
         schedule=fixed_threshold(math.inf, w),
@@ -106,7 +119,12 @@ def test_detector_engine_and_sliding_scan_agree_bitwise(case):
         kernel=kernel,
     )
 
-    lockstep = lockstep_sequences(config, streams, gen)
+    elimination_seed = int(gen.integers(2**32))
+    lockstep = lockstep_sequences(config, streams, elimination_seed)
+    if atoms is not None:
+        gathered = lockstep_sequences(config, streams, elimination_seed, atoms)
+        for by_index, by_value in zip(gathered, lockstep):
+            assert np.array_equal(by_index, by_value)
     for row in range(rows):
         stepped = detector_sequence(config, streams[row])
         assert stepped.shape == (streams.shape[1] - w + 1,)
