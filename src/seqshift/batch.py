@@ -44,6 +44,8 @@ def check_statistic(statistic: str, dim: int, w: int, kernel: Optional[Kernel]) 
             raise ValueError("the MMD statistic needs window size >= 2")
     elif dim != 1:
         raise ValueError(f"{statistic} requires scalar summaries, got dimension {dim}")
+    elif kernel is not None:
+        raise ValueError(f"{statistic} takes no kernel")
 
 
 def ks_stats_from_count_rows(

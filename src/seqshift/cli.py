@@ -1,9 +1,15 @@
-"""Command-line front end: config parsing, experiment orchestration,
+"""Command-line front end: config checking, experiment orchestration,
 artifact emission.
 
 Configuration is JSON with a strict schema -- unknown keys are errors, not
 warnings, because silently ignored settings are the main failure mode of
-monitoring tools.  Every artifact embeds the config hash and seed, and
+monitoring tools.  The schema is declared once, as one table per section
+(one per variant where ``policy``, ``kind``, ``type`` or ``family`` changes
+a section's shape), and ``load_config`` checks the whole config against it
+before any work: before a file is read, a reference drawn, a bandwidth
+estimated or a schedule built.  The section builders then check what
+crosses sections (dimensions, the statistic's rules) before the first
+costly step.  Every artifact embeds the config hash and seed, and
 re-running with the same pair reproduces outputs byte for byte.
 """
 
@@ -14,15 +20,17 @@ import hashlib
 import json
 import math
 import sys
+from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from . import calibration, evaluation, streams, summaries
+from . import calibration, evaluation, statistics, streams, summaries
 from . import detector as detector_mod
 from .batch import check_statistic
 from .calibration import CalibrationTarget, ThresholdSchedule
-from .statistics import KS, Kernel, ReferenceSet, median_heuristic
+from .statistics import KS, Kernel, ReferenceSet
 from .streams import ChangePointModel, DistributionSpec
 
 
@@ -30,40 +38,46 @@ class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
 
 
-# -- schema helpers ---------------------------------------------------------
+# -- schema -----------------------------------------------------------------
+#
+# A table maps each key of a section to ``(check, default)``; a field
+# written ``(check,)`` has no default and is required.  A check is a
+# function ``(value, where)`` that raises ConfigError or returns the value,
+# a nested table, or ``Variants``.
 
 
-def _check_keys(obj: dict, allowed: set, required: set, where: str) -> None:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected an object")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(
-            f"{where}: unknown keys {sorted(unknown)}; allowed keys are {sorted(allowed)}"
-        )
-    missing = required - set(obj)
-    if missing:
-        raise ConfigError(f"{where}: missing required keys {sorted(missing)}")
+class Variants(NamedTuple):
+    """A section whose ``key`` picks one of ``tables``; the table under
+    ``None`` applies when the key is absent and it accepts every key given."""
+
+    key: str
+    tables: dict
 
 
-def _positive_int(value, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ConfigError(f"{where}: expected a positive integer, got {value!r}")
-    return value
+def _integer(low: int):
+    def check(value, where):
+        if not isinstance(value, int) or isinstance(value, bool) or value < low:
+            raise ConfigError(f"{where}: expected an integer >= {low}, got {value!r}")
+        return value
+    return check
 
 
-def _typed(value, types, what: str, where: str):
-    # JSON true/false load as bool, an int subclass, but are not numbers
-    if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
-        raise ConfigError(f"{where}: expected {what}, got {value!r}")
-    return value
+def _typed(types, what: str):
+    def check(value, where):
+        # JSON true/false load as bool, an int subclass, but are not numbers
+        if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
+            raise ConfigError(f"{where}: expected {what}, got {value!r}")
+        return value
+    return check
 
 
-def _number(value, where: str):
-    return _typed(value, (int, float), "a number", where)
+_positive = _integer(1)
+_number = _typed((int, float), "a number")
+_string = _typed(str, "a string")
+_boolean = _typed(bool, "true or false")
 
 
-def _numbers(value, where: str):
+def _numbers(value, where):
     """A number or a nested array of numbers, as JSON writes them."""
     if isinstance(value, list):
         for item in value:
@@ -72,7 +86,112 @@ def _numbers(value, where: str):
     return _number(value, where)
 
 
-def load_config(path) -> dict:
+def _probability(value, where):
+    if not 0.0 < _number(value, where) < 1.0:
+        raise ConfigError(f"{where}: expected a number strictly between 0 and 1, got {value!r}")
+    return value
+
+
+def _bandwidth(value, where):
+    if value != "median" and not _number(value, where) > 0.0:
+        raise ConfigError(f"{where}: expected a positive number or \"median\", got {value!r}")
+    return value
+
+
+_MOMENTS = {"means": (_numbers,), "variances": (_numbers,)}
+DISTRIBUTIONS = {
+    "gaussian": _MOMENTS,
+    "uniform": _MOMENTS,
+    "gaussian-mixture": {**_MOMENTS, "weights": (_numbers,)},
+}
+REFERENCES = {
+    **{family: {**table, "size": (_integer(2),), "redraw_per_run": (_boolean, False)}
+       for family, table in DISTRIBUTIONS.items()},
+    None: {"path": (_string,)},
+}
+SUMMARIES = {
+    "identity": {},
+    "affine_projection": {"matrix": (_numbers,)},
+    "model_output": {"model": (Variants("type", {
+        "linear_softmax": {"weights": (_numbers,), "bias": (_numbers,)},
+    }),)},
+}
+KERNELS = {"rbf": {"bandwidth": (_bandwidth,)}, "linear": {}, "constant": {}}
+THRESHOLDS = {
+    "fixed": {"value": (_number,), "alpha": (_probability, None)},
+    "ks_asymptotic": {"alpha": (_probability,)},
+    "permutation": {"alpha": (_probability,), "n_permutations": (_positive,)},
+    "calibrated": {
+        "alpha": (_probability,), "t_max": (_positive,), "n_streams": (_positive,),
+        "min_survivors": (_positive, calibration.DEFAULT_MIN_SURVIVORS),
+    },
+    "schedule_file": {"path": (_string,)},
+}
+EVALUATION = {
+    "n_runs": (_positive, 100), "cap": (_positive, None),
+    "lambda": (_positive, None), "workers": (_positive, 1),
+}
+
+
+def _check(value, schema, where: str):
+    """``value`` checked against ``schema``, with every default filled in."""
+    if callable(schema):
+        return schema(value, where)
+    name = where or "config"
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name}: expected an object")
+    if isinstance(schema, Variants):
+        choice = value.get(schema.key)
+        table = schema.tables.get(choice) if choice is None or isinstance(choice, str) else None
+        if table is None or (choice is None and not set(value) <= set(table)):
+            if choice is None:
+                raise ConfigError(f"{name}: missing required keys {[schema.key]}")
+            raise ConfigError(
+                f"{name}: unknown {schema.key} {choice!r}; expected one of "
+                f"{sorted(option for option in schema.tables if option is not None)}"
+            )
+        schema = table if choice is None else {schema.key: (_string,), **table}
+    unknown = set(value) - set(schema)
+    if unknown:
+        raise ConfigError(
+            f"{name}: unknown keys {sorted(unknown)}; allowed keys are {sorted(schema)}"
+        )
+    missing = {key for key, field in schema.items() if len(field) == 1} - set(value)
+    if missing:
+        raise ConfigError(f"{name}: missing required keys {sorted(missing)}")
+    checked = {}
+    for key, (check, *default) in schema.items():
+        given = value.get(key)
+        # null stands for "not given" where not giving a key means "none"
+        if given is None and (key not in value or default == [None]):
+            checked[key] = default[0]
+        else:
+            checked[key] = _check(given, check, f"{where}.{key}" if where else key)
+    return checked
+
+
+SCHEMA = {
+    "seed": (_integer(0),),
+    "reference": (Variants("family", REFERENCES),),
+    "detector": ({
+        "statistic": (_string,),
+        "window": (_positive,),
+        "summary": (Variants("kind", SUMMARIES), None),
+        "kernel": (Variants("kind", KERNELS), None),
+        "threshold": (Variants("policy", THRESHOLDS),),
+    },),
+    "stream": ({
+        "pre": (Variants("family", DISTRIBUTIONS),),
+        "post": (Variants("family", DISTRIBUTIONS), None),
+        "change_point": (_positive, None),  # null: the stream never changes
+    }, None),
+    "evaluation": (EVALUATION, _check({}, EVALUATION, "evaluation")),
+}
+
+
+def load_config(path) -> tuple[dict, dict]:
+    """The config as written, and as checked against ``SCHEMA`` with every
+    default filled in; the first goes into hashes and artifacts unchanged."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -80,15 +199,7 @@ def load_config(path) -> dict:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}")
-    _check_keys(
-        cfg,
-        allowed={"seed", "detector", "reference", "stream", "evaluation"},
-        required={"seed", "detector", "reference"},
-        where=str(path),
-    )
-    if _typed(cfg["seed"], int, "an integer", "seed") < 0:
-        raise ConfigError(f"seed: expected a non-negative integer, got {cfg['seed']!r}")
-    return cfg
+    return cfg, _check(cfg, SCHEMA, "")
 
 
 def config_hash(cfg: dict) -> str:
@@ -96,292 +207,174 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-# -- section parsers --------------------------------------------------------
+# -- builders: checked values to library objects ---------------------------
 
 
-def _parse_distribution(cfg: dict, where: str) -> DistributionSpec:
-    _check_keys(
-        cfg,
-        allowed={"family", "means", "variances", "weights"},
-        required={"family", "means", "variances"},
-        where=where,
-    )
-    family = cfg["family"]
-    if family == "gaussian-mixture" and "weights" not in cfg:
-        raise ConfigError(f"{where}: gaussian-mixture requires weights")
-    if family != "gaussian-mixture" and "weights" in cfg:
-        raise ConfigError(f"{where}: weights only apply to gaussian-mixture")
-    arrays = {key: _numbers(value, f"{where}.{key}") for key, value in cfg.items()
-              if key != "family"}
+def _distribution(cfg: dict, where: str) -> DistributionSpec:
     try:
-        if family == "gaussian-mixture":
-            return DistributionSpec.gaussian_mixture(
-                arrays["means"], arrays["variances"], arrays["weights"]
-            )
-        if family == "gaussian":
-            return DistributionSpec.gaussian(arrays["means"], arrays["variances"])
-        if family == "uniform":
-            return DistributionSpec.uniform(arrays["means"], arrays["variances"])
-    except (TypeError, ValueError) as exc:
+        return DistributionSpec(
+            cfg["family"], cfg["means"], cfg["variances"], cfg.get("weights", 1.0)
+        )
+    except ValueError as exc:
         raise ConfigError(f"{where}: {exc}")
-    raise ConfigError(f"{where}: unknown family {family!r}")
 
 
-class _ReferenceSection:
-    """Either a concrete reference or a per-run redraw recipe."""
-
-    def __init__(self, cfg: dict, seed: int):
-        where = "reference"
-        if "path" in cfg:
-            _check_keys(cfg, allowed={"path"}, required={"path"}, where=where)
-            values = streams.load_stream_file(_typed(cfg["path"], str, "a string", f"{where}.path"))
-            self.spec = None
-            self.size = values.shape[0]
-            self.redraw = False
-            self._fixed = ReferenceSet(values)
-            self.dim = self._fixed.dim
-            return
-        _check_keys(
-            cfg,
-            allowed={"family", "means", "variances", "weights", "size", "redraw_per_run"},
-            required={"family", "means", "variances", "size"},
-            where=where,
+def _summary(cfg: dict | None, ref_dim: int) -> summaries.SummaryStatistic:
+    if cfg is None or cfg["kind"] == "identity":
+        return summaries.identity(ref_dim)
+    field = "matrix" if cfg["kind"] == "affine_projection" else "model"
+    try:  # ragged or wrongly shaped arrays
+        if field == "matrix":
+            matrix = np.asarray(cfg["matrix"], dtype=np.float64)
+            if matrix.ndim != 2:
+                raise ValueError("expected a 2-d array")
+            return summaries.SummaryStatistic(
+                kind="affine_projection", out_dim=matrix.shape[0], projection=matrix
+            )
+        model = summaries.LinearSoftmaxModel(cfg["model"]["weights"], cfg["model"]["bias"])
+        return summaries.SummaryStatistic(
+            kind="model_output", out_dim=model.n_classes, model=model
         )
-        self.size = _positive_int(cfg["size"], "reference.size")
-        if self.size < 2:
-            raise ConfigError("reference.size must be >= 2")
-        dist_cfg = {k: v for k, v in cfg.items() if k in ("family", "means", "variances", "weights")}
-        self.spec = _parse_distribution(dist_cfg, where)
-        self.dim = self.spec.dim
-        self.redraw = _typed(
-            cfg.get("redraw_per_run", False), bool, "true or false", f"{where}.redraw_per_run"
-        )
-        self._fixed = None
-        self._seed = seed
+    except ValueError as exc:
+        raise ConfigError(f"detector.summary.{field}: {exc}")
 
-    def concrete(self) -> ReferenceSet:
+
+def _stream(cfg: dict | None, summary: summaries.SummaryStatistic) -> ChangePointModel | None:
+    """The stream model, checked against the detector's ``summary``."""
+    if cfg is None:
+        return None
+    pre = _distribution(cfg["pre"], "stream.pre")
+    post = pre if cfg["post"] is None else _distribution(cfg["post"], "stream.post")
+    cp = math.inf if cfg["change_point"] is None else cfg["change_point"]
+    try:
+        model = ChangePointModel(pre=pre, post=post, change_point=cp)
+        evaluation.check_stream(model, summary)
+    except ValueError as exc:
+        raise ConfigError(f"stream: {exc}")
+    return model
+
+
+class _Experiment:
+    """A checked config turned into library objects.
+
+    Building one runs every check that crosses sections (dimensions, the
+    statistic's rules, the stream against the summary); what costs --
+    drawing the reference, the median bandwidth, the schedule -- waits for
+    first use, after all of them.
+    """
+
+    def __init__(self, args):
+        self.cfg, checked = load_config(args.config)
+        if args.seed is not None:
+            self.cfg = {**self.cfg, "seed": args.seed}
+        self.seed = self.cfg["seed"]
+        ref, det = checked["reference"], checked["detector"]
+        if "path" in ref:
+            self._reference = ReferenceSet(streams.load_stream_file(ref["path"]))
+            self.spec, self.size, self.redraw = None, self._reference.n, False
+            dim = self._reference.dim
+        else:
+            self._reference = None
+            self.spec = _distribution(ref, "reference")
+            self.size, self.redraw = ref["size"], ref["redraw_per_run"]
+            dim = self.spec.dim
+        self.statistic, self.window = det["statistic"], det["window"]
+        self.summary = _summary(det["summary"], dim)
+        self.threshold, self._kernel_cfg = det["threshold"], det["kernel"]
+        try:
+            # the rules ask only whether there is a kernel, so a median
+            # bandwidth waits until they hold
+            check_statistic(self.statistic, self.summary.out_dim, self.window, self._kernel_cfg)
+        except ValueError as exc:
+            raise ConfigError(f"detector: {exc}")
+        if self.summary.out_dim != dim:
+            raise ConfigError(
+                f"detector: summary out_dim {self.summary.out_dim} does not match "
+                f"reference dimension {dim}"
+            )
+        if self.threshold["policy"] == "ks_asymptotic" and self.statistic != KS:
+            raise ConfigError(
+                "detector.threshold: ks_asymptotic thresholds apply to the ks statistic"
+            )
+        self.model = _stream(checked["stream"], self.summary)
+        self.evaluation = checked["evaluation"]
+
+    def reference(self) -> ReferenceSet:
         """The fixed reference (drawing it once if synthetic)."""
         if self.redraw:
             raise ConfigError(
                 "this command needs one concrete reference; set "
                 "reference.redraw_per_run to false"
             )
-        if self._fixed is None:
-            self._fixed = ReferenceSet(
-                streams.draw_reference(self.spec, self.size, self._seed, 0)
+        if self._reference is None:
+            self._reference = ReferenceSet(
+                streams.draw_reference(self.spec, self.size, self.seed, 0)
             )
-        return self._fixed
+        return self._reference
 
-
-def _parse_summary(cfg: dict | None, ref_dim: int) -> summaries.SummaryStatistic:
-    if cfg is None:
-        return summaries.identity(ref_dim)
-    where = "detector.summary"
-    _check_keys(
-        cfg,
-        allowed={"kind", "dim", "matrix", "model", "loss"},
-        required={"kind"},
-        where=where,
-    )
-    kind = cfg["kind"]
-    if kind == "identity":
-        dim = cfg.get("dim", ref_dim)
-        return summaries.identity(_positive_int(dim, f"{where}.dim"))
-    if kind == "affine_projection":
-        if "matrix" not in cfg:
-            raise ConfigError(f"{where}: affine_projection requires matrix")
-        matrix = np.asarray(_numbers(cfg["matrix"], f"{where}.matrix"), dtype=np.float64)
-        if matrix.ndim != 2:
-            raise ConfigError(f"{where}.matrix: expected a 2-d array")
-        return summaries.SummaryStatistic(
-            kind="affine_projection", out_dim=matrix.shape[0], projection=matrix
-        )
-    if kind in ("model_output", "model_loss"):
-        model_cfg = cfg.get("model")
-        if model_cfg is None:
-            raise ConfigError(f"{where}: {kind} requires model")
-        _check_keys(
-            model_cfg,
-            allowed={"type", "weights", "bias"},
-            required={"type", "weights", "bias"},
-            where=f"{where}.model",
-        )
-        if model_cfg["type"] != "linear_softmax":
-            raise ConfigError(f"{where}.model: unknown model type {model_cfg['type']!r}")
-        model = summaries.LinearSoftmaxModel(
-            _numbers(model_cfg["weights"], f"{where}.model.weights"),
-            _numbers(model_cfg["bias"], f"{where}.model.bias"),
-        )
-        if kind == "model_output":
-            return summaries.SummaryStatistic(
-                kind="model_output", out_dim=model.n_classes, model=model
-            )
-        raise ConfigError(
-            f"{where}: model_loss summaries need per-instance labels, which "
-            "synthetic and file streams do not carry; use the library API"
-        )
-    raise ConfigError(f"{where}: unknown summary kind {kind!r}")
-
-
-def _parse_kernel(cfg: dict | None, reference: _ReferenceSection | None) -> Kernel | None:
-    if cfg is None:
-        return None
-    where = "detector.kernel"
-    _check_keys(cfg, allowed={"kind", "bandwidth"}, required={"kind"}, where=where)
-    bandwidth = cfg.get("bandwidth")
-    if bandwidth == "median":
-        if reference is None or reference.redraw:
-            raise ConfigError(
-                f"{where}: the median-heuristic bandwidth needs one concrete "
-                "reference; set an explicit bandwidth instead"
-            )
-        bandwidth = median_heuristic(reference.concrete())
-    elif bandwidth is not None:
-        _number(bandwidth, f"{where}.bandwidth")
-    try:
-        return Kernel(kind=cfg["kind"], bandwidth=bandwidth)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}")
-
-
-class _DetectorSection:
-    def __init__(self, cfg: dict, reference: _ReferenceSection, seed: int):
-        where = "detector"
-        _check_keys(
-            cfg,
-            allowed={"summary", "statistic", "kernel", "window", "threshold"},
-            required={"statistic", "window", "threshold"},
-            where=where,
-        )
-        self.statistic = cfg["statistic"]
-        self.window = _positive_int(cfg["window"], f"{where}.window")
-        self.summary = _parse_summary(cfg.get("summary"), reference.dim)
-        self.kernel = _parse_kernel(cfg.get("kernel"), reference)
+    @cached_property
+    def kernel(self) -> Kernel | None:
+        cfg = self._kernel_cfg
+        if cfg is None:
+            return None
+        bandwidth = cfg.get("bandwidth")
         try:
-            check_statistic(self.statistic, self.summary.out_dim, self.window, self.kernel)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}")
-        if self.summary.out_dim != reference.dim:
-            raise ConfigError(
-                f"{where}: summary out_dim {self.summary.out_dim} does not match "
-                f"reference dimension {reference.dim}"
-            )
-        self.threshold_cfg = cfg["threshold"]
-        self._reference = reference
-        self._seed = seed
+            if bandwidth == "median":
+                bandwidth = statistics.median_heuristic(self.reference())
+            return Kernel(kind=cfg["kind"], bandwidth=bandwidth)
+        except ValueError as exc:  # no concrete reference, or no usable median
+            raise ConfigError(f"detector.kernel: {exc}")
 
     def schedule(self) -> ThresholdSchedule:
-        cfg = self.threshold_cfg
-        where = "detector.threshold"
-        _check_keys(
-            cfg,
-            allowed={
-                "policy", "alpha", "value", "n_permutations", "t_max",
-                "n_streams", "min_survivors", "path",
-            },
-            required={"policy"},
-            where=where,
-        )
+        cfg = self.threshold
         policy = cfg["policy"]
-        for key in ("alpha", "value"):  # the policy that needs a missing key says so
-            _number(cfg.get(key, 0.0), f"{where}.{key}")
         try:
             if policy == "fixed":
-                if "value" not in cfg:
-                    raise ConfigError(f"{where}: fixed policy requires value")
-                return calibration.fixed_threshold(
-                    cfg["value"], self.window, cfg.get("alpha")
-                )
+                return calibration.fixed_threshold(cfg["value"], self.window, cfg["alpha"])
             if policy == "ks_asymptotic":
-                if self.statistic != KS:
-                    raise ConfigError(
-                        f"{where}: ks_asymptotic thresholds apply to the ks statistic"
-                    )
-                return calibration.ks_asymptotic_threshold(
-                    self._reference.size, self.window, cfg["alpha"]
-                )
+                return calibration.ks_asymptotic_threshold(self.size, self.window, cfg["alpha"])
             if policy == "permutation":
                 return calibration.permutation_threshold(
-                    self._reference.concrete(),
+                    self.reference(),
                     self.window,
                     cfg["alpha"],
-                    _positive_int(cfg["n_permutations"], f"{where}.n_permutations"),
+                    cfg["n_permutations"],
                     statistic=self.statistic,
                     kernel=self.kernel,
-                    master_seed=self._seed,
+                    master_seed=self.seed,
                 )
             if policy == "calibrated":
                 return calibration.calibrate_schedule(
-                    self._reference.concrete(),
+                    self.reference(),
                     self.window,
                     CalibrationTarget(alpha=cfg["alpha"]),
-                    t_max=_positive_int(cfg["t_max"], f"{where}.t_max"),
-                    n_streams=_positive_int(cfg["n_streams"], f"{where}.n_streams"),
+                    t_max=cfg["t_max"],
+                    n_streams=cfg["n_streams"],
                     statistic=self.statistic,
                     kernel=self.kernel,
-                    master_seed=self._seed,
-                    min_survivors=_positive_int(
-                        cfg.get("min_survivors", calibration.DEFAULT_MIN_SURVIVORS),
-                        f"{where}.min_survivors",
-                    ),
+                    master_seed=self.seed,
+                    min_survivors=cfg["min_survivors"],
                 )
-            if policy == "schedule_file":
-                path = _typed(cfg["path"], str, "a string", f"{where}.path")
-                with open(path, "r", encoding="utf-8") as fh:
-                    schedule = ThresholdSchedule.from_json(fh.read())
-                if schedule.w != self.window:
-                    raise ConfigError(
-                        f"{where}: schedule file was built for w={schedule.w}, "
-                        f"config window is {self.window}"
-                    )
-                return schedule
-        except KeyError as exc:
-            raise ConfigError(f"{where}: policy {policy!r} requires key {exc.args[0]!r}")
+            with open(cfg["path"], "r", encoding="utf-8") as fh:
+                schedule = ThresholdSchedule.from_json(fh.read())
         except ConfigError:
             raise
         except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}")
-        raise ConfigError(f"{where}: unknown policy {policy!r}")
+            raise ConfigError(f"detector.threshold: {exc}")
+        if schedule.w != self.window:
+            raise ConfigError(
+                f"detector.threshold: schedule file was built for w={schedule.w}, "
+                f"config window is {self.window}"
+            )
+        return schedule
 
-
-def _parse_stream(
-    cfg: dict | None, summary: summaries.SummaryStatistic
-) -> ChangePointModel | None:
-    """The stream model, checked against the detector's ``summary``."""
-    if cfg is None:
-        return None
-    where = "stream"
-    _check_keys(cfg, allowed={"pre", "post", "change_point"}, required={"pre"}, where=where)
-    pre = _parse_distribution(cfg["pre"], f"{where}.pre")
-    post = _parse_distribution(cfg["post"], f"{where}.post") if "post" in cfg else pre
-    cp = cfg.get("change_point")
-    cp = math.inf if cp is None else _positive_int(cp, f"{where}.change_point")
-    try:
-        model = ChangePointModel(pre=pre, post=post, change_point=cp)
-        evaluation.check_stream(model, summary)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}")
-    return model
-
-
-class _EvaluationSection:
-    def __init__(self, cfg: dict | None, alpha: float | None):
-        where = "evaluation"
-        cfg = cfg or {}
-        _check_keys(cfg, allowed={"n_runs", "cap", "lambda", "workers"}, required=set(), where=where)
-        self.n_runs = _positive_int(cfg.get("n_runs", 100), f"{where}.n_runs")
-        cap = cfg.get("cap")
-        if cap is None:
-            if alpha is None:
-                raise ConfigError(
-                    f"{where}.cap: required when the threshold policy has no alpha"
-                )
-            cap = int(round(100.0 / alpha))
-        self.cap = _positive_int(cap, f"{where}.cap")
-        self.lam = cfg.get("lambda")
-        if self.lam is not None:
-            self.lam = _positive_int(self.lam, f"{where}.lambda")
-        self.workers = _positive_int(cfg.get("workers", 1), f"{where}.workers")
+    def cap(self, alpha: float | None) -> int:
+        """``evaluation.cap``, or 100/alpha when it is not given."""
+        if self.evaluation["cap"] is not None:
+            return self.evaluation["cap"]
+        if alpha is None:
+            raise ConfigError("evaluation.cap: required when the threshold policy has no alpha")
+        return _positive(int(round(100.0 / alpha)), "evaluation.cap")
 
 
 # -- artifact writing -------------------------------------------------------
@@ -414,54 +407,43 @@ def _write_report(args, cfg: dict, report: dict) -> None:
 # -- commands ---------------------------------------------------------------
 
 
-def _load_experiment(args):
-    """The config (with ``--seed`` applied), its reference and its detector."""
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    reference = _ReferenceSection(cfg["reference"], cfg["seed"])
-    return cfg, reference, _DetectorSection(cfg["detector"], reference, cfg["seed"])
-
-
 def cmd_calibrate(args) -> int:
-    cfg, _, det = _load_experiment(args)
-    schedule = det.schedule()
+    exp = _Experiment(args)
+    schedule = exp.schedule()
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(schedule.to_json({"config_hash": config_hash(cfg), "seed": cfg["seed"]}))
+        fh.write(schedule.to_json({"config_hash": config_hash(exp.cfg), "seed": exp.seed}))
         fh.write("\n")
     print(f"wrote {schedule.kind} schedule (w={schedule.w}, alpha={schedule.alpha}) to {args.out}")
     return 0
 
 
 def cmd_run(args) -> int:
-    cfg, reference, det = _load_experiment(args)
+    exp = _Experiment(args)
     if args.stream_file is None:
-        model = _parse_stream(cfg.get("stream"), det.summary)
-        if model is None:
+        if exp.model is None:
             raise ConfigError("run needs a stream section or --stream-file")
     else:
         stream = streams.load_stream_file(args.stream_file)
         try:
-            evaluation.check_sample(stream[0], det.summary)
+            evaluation.check_sample(stream[0], exp.summary)
         except ValueError as exc:
             raise ConfigError(f"--stream-file {args.stream_file}: {exc}")
-    schedule = det.schedule()
-    ev = _EvaluationSection(cfg.get("evaluation"), schedule.alpha)
-    cap = args.cap if args.cap is not None else ev.cap
+    schedule = exp.schedule()
+    cap = args.cap if args.cap is not None else exp.cap(schedule.alpha)
 
     config = detector_mod.DetectorConfig(
-        reference=reference.concrete(),
+        reference=exp.reference(),
         schedule=schedule,
-        window_size=det.window,
-        statistic=det.statistic,
-        summary=det.summary,
-        kernel=det.kernel,
+        window_size=exp.window,
+        statistic=exp.statistic,
+        summary=exp.summary,
+        kernel=exp.kernel,
     )
     if args.stream_file is None:
-        stream = streams.generate_stream(model, cap, cfg["seed"], stream_id=0)
+        stream = streams.generate_stream(exp.model, cap, exp.seed, stream_id=0)
     result = detector_mod.run(config, stream, cap, trace=args.trace is not None)
 
-    _write_report(args, cfg, {
+    _write_report(args, exp.cfg, {
         "detection_time": result.detection_time,
         "run_length": result.run_length,
         "censored": result.censored,
@@ -473,7 +455,7 @@ def cmd_run(args) -> int:
             args.trace,
             ["t", "statistic", "threshold", "detected"],
             [(t, repr(s), repr(h), str(d).lower()) for t, s, h, d in result.trace],
-            cfg,
+            exp.cfg,
         )
     outcome = (
         f"detection at t={result.detection_time}" if not result.censored else "censored"
@@ -482,47 +464,42 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _monte_carlo(args, cfg, reference, det, estimate):
-    """Resolve the schedule, the evaluation section and the reference, call
-    ``estimate(schedule, ev, **kwargs)``, and write its report and runs CSV."""
-    schedule = det.schedule()
-    ev = _EvaluationSection(cfg.get("evaluation"), schedule.alpha)
-    kwargs = dict(
-        statistic=det.statistic,
-        summary=det.summary,
-        kernel=det.kernel,
-        workers=args.workers if args.workers is not None else ev.workers,
-    )
-    if reference.redraw:
-        kwargs.update(reference_spec=reference.spec, reference_size=reference.size)
+def _monte_carlo(args, exp: _Experiment, estimate, **kwargs):
+    """Call ``estimate`` (``estimate_arl0`` or ``estimate_delay``) on the
+    experiment, and write its report and runs CSV."""
+    schedule = exp.schedule()
+    cap = exp.cap(schedule.alpha)
+    if exp.redraw:
+        kwargs.update(reference_spec=exp.spec, reference_size=exp.size)
     else:
-        kwargs.update(reference=reference.concrete())
-    report = estimate(schedule, ev, **kwargs)
+        kwargs.update(reference=exp.reference())
+    report = estimate(
+        schedule, exp.model, exp.evaluation["n_runs"], cap, exp.seed,
+        statistic=exp.statistic,
+        summary=exp.summary,
+        kernel=exp.kernel,
+        workers=args.workers if args.workers is not None else exp.evaluation["workers"],
+        **kwargs,
+    )
 
-    _write_report(args, cfg, report.to_dict())
+    _write_report(args, exp.cfg, report.to_dict())
     if args.runs_csv is not None:
         _write_csv(
             args.runs_csv,
             ["run_id", "T", "censored"],
             [(i, t, str(c).lower()) for i, t, c in report.runs],
-            cfg,
+            exp.cfg,
         )
     return report
 
 
 def cmd_arl(args) -> int:
-    cfg, reference, det = _load_experiment(args)
-    model = _parse_stream(cfg.get("stream"), det.summary)
-    if model is None:
+    exp = _Experiment(args)
+    if exp.model is None:
         raise ConfigError("arl needs a stream section (the null model)")
-    if model.change_point != math.inf:
+    if exp.model.change_point != math.inf:
         raise ConfigError("arl measures false detections; stream.change_point must be null")
-    report = _monte_carlo(
-        args, cfg, reference, det,
-        lambda schedule, ev, **kw: evaluation.estimate_arl0(
-            schedule, model, ev.n_runs, ev.cap, cfg["seed"], lam=ev.lam, **kw
-        ),
-    )
+    report = _monte_carlo(args, exp, evaluation.estimate_arl0, lam=exp.evaluation["lambda"])
     print(
         f"arl: mean_T={report.mean_T:.1f} slackness={report.slackness!r} "
         f"censored={report.censored_count}/{report.n_runs}; report written to {args.out}"
@@ -531,18 +508,12 @@ def cmd_arl(args) -> int:
 
 
 def cmd_delay(args) -> int:
-    cfg, reference, det = _load_experiment(args)
-    model = _parse_stream(cfg.get("stream"), det.summary)
-    if model is None or model.change_point == math.inf:
+    exp = _Experiment(args)
+    if exp.model is None or exp.model.change_point == math.inf:
         raise ConfigError("delay needs a stream section with a finite change_point")
-    if isinstance(cfg.get("evaluation"), dict) and "lambda" in cfg["evaluation"]:
+    if exp.evaluation["lambda"] is not None:
         raise ConfigError("evaluation.lambda: applies to arl only, not to delay")
-    report = _monte_carlo(
-        args, cfg, reference, det,
-        lambda schedule, ev, **kw: evaluation.estimate_delay(
-            schedule, model, ev.n_runs, ev.cap, cfg["seed"], **kw
-        ),
-    )
+    report = _monte_carlo(args, exp, evaluation.estimate_delay)
     delay = "n/a" if report.mean_delay is None else f"{report.mean_delay:.1f}"
     print(
         f"delay: mean_delay={delay} false_alarms={report.false_alarm_fraction:.3f}; "
@@ -558,8 +529,8 @@ _APPENDIX_N_GRID = (300, 1000, 3000, 10000, 30000)  # window fixed at 300
 
 
 def cmd_reproduce_appendix(args) -> int:
-    if args.scale <= 0:
-        raise ConfigError("--scale must be positive")
+    if not 0.0 < args.scale < math.inf:
+        raise ConfigError(f"--scale must be a positive finite number, got {args.scale}")
     alpha = _APPENDIX_BASE_ALPHA / args.scale
     if not alpha < 1.0:
         raise ConfigError(f"--scale {args.scale} drives alpha to {alpha} >= 1")
@@ -618,18 +589,13 @@ def cmd_reproduce_appendix(args) -> int:
 # -- entry point -------------------------------------------------------------
 
 
-def _workers(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
-
-
-def _seed(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
-    return value
+def _at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -641,7 +607,9 @@ def build_parser() -> argparse.ArgumentParser:
     experiment = argparse.ArgumentParser(add_help=False)
     experiment.add_argument("--config", required=True)
     experiment.add_argument("--out", required=True)
-    experiment.add_argument("--seed", type=_seed, default=None, help="override the config seed")
+    experiment.add_argument(
+        "--seed", type=_at_least(0), default=None, help="override the config seed"
+    )
 
     p = sub.add_parser(
         "calibrate", parents=[experiment], help="build and save a threshold schedule"
@@ -651,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", parents=[experiment], help="run the detector once on a stream")
     p.add_argument("--stream-file", default=None, help="read the stream from a file")
     p.add_argument("--trace", default=None, help="write a per-step statistic trace CSV")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_at_least(1), default=None)
     p.set_defaults(func=cmd_run)
 
     for name, func, help_ in (
@@ -660,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, parents=[experiment], help=help_)
         p.add_argument("--runs-csv", default=None, help="write the per-run table")
-        p.add_argument("--workers", type=_workers, default=None)
+        p.add_argument("--workers", type=_at_least(1), default=None)
         p.set_defaults(func=func)
 
     p = sub.add_parser(
@@ -675,9 +643,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="cost scale: effective alpha = 0.001/scale and runs = 250*scale, "
         "so --scale 0.1 is a cheap CI version and --scale 1 the full job",
     )
-    p.add_argument("--workers", type=_workers, default=1)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--cap", type=int, default=None, help="censoring cap (default 100/alpha)")
+    p.add_argument("--workers", type=_at_least(1), default=1)
+    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument(
+        "--cap", type=_at_least(1), default=None, help="censoring cap (default 100/alpha)"
+    )
     p.set_defaults(func=cmd_reproduce_appendix)
     return parser
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,7 @@ from seqshift import (
     ks_asymptotic_threshold,
     null_model,
 )
-from seqshift import calibration
+from seqshift import calibration, cli, statistics, streams
 from seqshift.cli import main
 from seqshift.streams import save_stream_file
 
@@ -48,6 +49,27 @@ def calibrated(cfg, **keys):
     cfg["reference"]["redraw_per_run"] = False
     cfg["detector"]["threshold"] = {
         "policy": "calibrated", "alpha": 0.05, "t_max": 40, "n_streams": 2000, **keys,
+    }
+
+
+def work_config():
+    """A valid mmd config that takes every costly step: a drawn reference,
+    a median bandwidth and a calibrated schedule."""
+    plane = {"family": "gaussian", "means": [0.0, 0.0], "variances": [1.0, 1.0]}
+    return {
+        "seed": 3,
+        "detector": {
+            "statistic": "mmd",
+            "window": 10,
+            "summary": {"kind": "affine_projection", "matrix": [[1.0, 0.0], [0.0, 1.0]]},
+            "kernel": {"kind": "rbf", "bandwidth": "median"},
+            "threshold": {
+                "policy": "calibrated", "alpha": 0.05, "t_max": 40, "n_streams": 2000,
+            },
+        },
+        "reference": {**plane, "size": 200},
+        "stream": {"pre": plane},
+        "evaluation": {"n_runs": 10, "cap": 100},
     }
 
 
@@ -234,6 +256,127 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert f"--stream-file {stream_path}: 2-d stream samples do not fit the summary" in err
 
+
+    @pytest.mark.parametrize(
+        "mutate, section, key",
+        [
+            (lambda cfg, _: cfg["detector"].update(
+                threshold={"policy": "fixed", "value": 0.3, "t_max": 40}),
+             "detector.threshold", "t_max"),
+            (lambda cfg, _: cfg["detector"].update(
+                threshold={"policy": "fixed", "value": 0.3, "n_streams": 2000}),
+             "detector.threshold", "n_streams"),
+            (lambda cfg, _: cfg["detector"].update(
+                threshold={"policy": "fixed", "value": 0.3, "n_permutations": 50}),
+             "detector.threshold", "n_permutations"),
+            (lambda cfg, path: cfg["detector"]["threshold"].update(path=path),
+             "detector.threshold", "path"),
+            (lambda cfg, _: cfg["detector"]["threshold"].update(min_survivors=50),
+             "detector.threshold", "min_survivors"),
+            (lambda cfg, path: cfg["detector"].update(
+                threshold={"policy": "schedule_file", "path": path, "alpha": 0.5}),
+             "detector.threshold", "alpha"),
+            (lambda cfg, _: cfg["detector"].update(
+                summary={"kind": "identity", "matrix": [[1.0]]}),
+             "detector.summary", "matrix"),
+            (lambda cfg, _: cfg["detector"].update(summary={"kind": "identity", "model": {
+                "type": "linear_softmax", "weights": [[1.0]], "bias": [0.0]}}),
+             "detector.summary", "model"),
+            (lambda cfg, _: cfg["detector"].update(summary={"kind": "identity", "dim": 1}),
+             "detector.summary", "dim"),
+            (lambda cfg, _: cfg["detector"].update(
+                summary={"kind": "identity", "loss": "squared_error"}),
+             "detector.summary", "loss"),
+            (lambda cfg, _: cfg["detector"].update(
+                statistic="mmd", kernel={"kind": "linear", "bandwidth": "median"}),
+             "detector.kernel", "bandwidth"),
+        ],
+        ids=["fixed-t_max", "fixed-n_streams", "fixed-n_permutations",
+             "ks_asymptotic-path", "ks_asymptotic-min_survivors", "schedule_file-alpha",
+             "identity-matrix", "identity-model", "identity-dim", "summary-loss",
+             "linear-median_bandwidth"],
+    )
+    def test_keys_of_other_variants_rejected(
+        self, tmp_path, capsys, monkeypatch, mutate, section, key
+    ):
+        schedule = tmp_path / "schedule.json"
+        schedule.write_text(calibration.ks_asymptotic_threshold(300, 20, 0.05).to_json())
+        monkeypatch.setattr(
+            statistics, "median_heuristic",
+            lambda *args: pytest.fail("estimated a bandwidth before checking the config"),
+        )
+        cfg = base_arl_config(redraw=False)
+        mutate(cfg, str(schedule))
+        code = main(["calibrate", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "s.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{section}: unknown keys" in err and repr(key) in err
+
+    @pytest.mark.parametrize("command", ["calibrate", "run", "arl"])
+    @pytest.mark.parametrize(
+        "mutate, field",
+        [
+            (lambda cfg: cfg["reference"].update(size=1), "reference.size"),
+            (lambda cfg: cfg["detector"].update(window=0), "detector.window"),
+            (lambda cfg: cfg["detector"]["summary"].update(matrix=[[1.0, "0"]]),
+             "detector.summary.matrix"),
+            (lambda cfg: cfg["detector"]["summary"].update(matrix=[[1.0], [0.0, 1.0]]),
+             "detector.summary.matrix"),
+            (lambda cfg: cfg["detector"]["kernel"].update(bandwidth=-1.0),
+             "detector.kernel.bandwidth"),
+            (lambda cfg: cfg["detector"]["threshold"].update(n_streams=0),
+             "detector.threshold.n_streams"),
+            (lambda cfg: cfg["stream"]["pre"].update(means=["0.0", 0.0]), "stream.pre.means"),
+            (lambda cfg: cfg["evaluation"].update(workers=0), "evaluation.workers"),
+            # rules that join sections hold before any work too
+            (lambda cfg: cfg["detector"].update(
+                statistic="ks", summary={"kind": "affine_projection", "matrix": [[1.0, 1.0]]}),
+             "detector: ks takes no kernel"),
+            (lambda cfg: cfg["stream"].update(pre={
+                "family": "gaussian", "means": [0.0] * 3, "variances": [1.0] * 3}),
+             "stream: 3-d stream samples do not fit the summary"),
+        ],
+        ids=["reference", "detector", "summary", "summary_shape", "kernel", "threshold", "stream",
+             "evaluation", "statistic_rules", "stream_dimension"],
+    )
+    def test_config_errors_come_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command, mutate, field
+    ):
+        for module, name in ((statistics, "median_heuristic"), (streams, "draw_reference"),
+                             (streams, "load_stream_file"),
+                             (calibration, "calibrate_schedule")):
+            monkeypatch.setattr(
+                module, name,
+                lambda *args, _name=name, **kwargs: pytest.fail(
+                    f"{_name} ran before the config was checked"),
+            )
+        cfg = work_config()
+        mutate(cfg)
+        code = main([command, "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert field in capsys.readouterr().err
+
+    def test_readme_names_every_config_key(self):
+        """The README's Sections list names every key and variant of the schema."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        sections = readme.split("\nSections:\n")[1].split("\n## ")[0]
+
+        def names(schema):
+            if isinstance(schema, cli.Variants):
+                yield schema.key
+                for choice, table in schema.tables.items():
+                    if choice is not None:
+                        yield choice
+                    yield from names(table)
+            elif isinstance(schema, dict):
+                for key, (check, *_) in schema.items():
+                    yield key
+                    yield from names(check)
+
+        missing = sorted({name for name in names(cli.SCHEMA) if f"`{name}`" not in sections})
+        assert not missing, f"README Sections list does not name {missing}"
 
     def test_delay_refuses_lambda(self, tmp_path, capsys):
         cfg = base_arl_config()
@@ -429,6 +572,15 @@ class TestCalibrateAndRun:
         assert payload["report"]["detected_after_change"] > 0
         assert payload["report"]["mean_delay"] < 50
 
+    def test_cap_flag_supplies_the_cap(self, tmp_path):
+        cfg = base_arl_config(redraw=False)
+        cfg["detector"]["threshold"] = {"policy": "fixed", "value": 0.5}
+        del cfg["evaluation"]
+        out = tmp_path / "result.json"
+        assert main(["run", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out), "--cap", "50"]) == 0
+        assert json.loads(out.read_text())["report"]["cap"] == 50
+
     def test_mmd_with_median_bandwidth(self, tmp_path):
         cfg = {
             "seed": 13,
@@ -485,6 +637,7 @@ class TestReproduceAppendix:
             )
         assert blobs[0] == blobs[1]
 
-    def test_bad_scale_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("scale", ["0", "-1", "inf", "nan"])
+    def test_bad_scale_rejected(self, tmp_path, capsys, scale):
         assert main(["reproduce-appendix", "--out-dir", str(tmp_path / "d"),
-                     "--scale", "0"]) == 2
+                     "--scale", scale]) == 2

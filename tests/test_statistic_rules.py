@@ -32,6 +32,7 @@ BAD_INPUTS = {
     "mean_diff-2d": ("mean_diff", 2, 5, None),
     "mmd-no-kernel": ("mmd", 2, 5, None),
     "mmd-w1": ("mmd", 2, 1, KERNEL),
+    "ks-kernel": ("ks", 1, 5, KERNEL),
 }
 
 
