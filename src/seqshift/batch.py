@@ -191,15 +191,13 @@ class BatchMmdEngine(_WindowRing):
 
     def _rowwise_kernel(self, points: np.ndarray, windows: np.ndarray) -> np.ndarray:
         """k(points[i], windows[i, j]) for each row i -> (rows, window_len)."""
-        if self.kernel.kind == "rbf":
-            # C order keeps each row's reductions independent of the row count
-            diff = np.subtract(windows, points[:, None, :], order="C")
-            sq = np.sum(diff**2, axis=-1)
-            return np.exp(sq / (-2.0 * self.kernel.bandwidth**2))
         if self.kernel.kind == "linear":
             # not einsum: its summation order depends on the operand shapes
             return np.multiply(windows, points[:, None, :], order="C").sum(axis=-1)
-        return np.ones(windows.shape[:2], dtype=np.float64)
+        # C order keeps each row's reductions independent of the row count
+        diff = np.subtract(windows, points[:, None, :], order="C")
+        sq = np.sum(diff**2, axis=-1)
+        return np.exp(sq / (-2.0 * self.kernel.bandwidth**2))
 
     def _cross_sums(self, points: np.ndarray) -> np.ndarray:
         """sum_i k(p, x_i) over the reference for each point p -> (rows,).

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,6 +35,11 @@ TIME_VARYING = "time_varying"
 DEFAULT_MIN_SURVIVORS = 100
 
 _SCHEDULE_KEYS = {"kind", "w", "T_max", "alpha", "values", "fixed_h", "meta"}
+
+
+def _is_a(value, kind) -> bool:
+    """``isinstance`` that refuses bool, an int subclass but not a number here."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -71,15 +77,24 @@ class ThresholdSchedule:
     def __post_init__(self):
         if self.kind not in (FIXED, TIME_VARYING):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.w < 1:
-            raise ValueError("w must be >= 1")
+        if not _is_a(self.w, numbers.Integral) or self.w < 1:
+            raise ValueError(f"w must be an integer >= 1, got {self.w!r}")
+        alpha = self.alpha
+        if alpha is not None and not (_is_a(alpha, numbers.Real) and 0.0 < alpha < 1.0):
+            raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
         if self.kind == FIXED:
+            if self.values is not None or self.t_max is not None:
+                raise ValueError("fixed schedule takes no values or t_max")
             # +inf is a legitimate never-detect sentinel; only NaN is nonsense
-            if self.fixed_h is None or math.isnan(self.fixed_h):
+            if not _is_a(self.fixed_h, numbers.Real) or math.isnan(self.fixed_h):
                 raise ValueError("fixed schedule requires a numeric fixed_h")
         else:
+            if self.fixed_h is not None:
+                raise ValueError("time-varying schedule takes no fixed_h")
             if self.values is None or self.t_max is None:
                 raise ValueError("time-varying schedule requires values and t_max")
+            if not _is_a(self.t_max, numbers.Integral) or self.t_max < self.w:
+                raise ValueError(f"t_max must be an integer >= w, got {self.t_max!r}")
             values = np.asarray(self.values, dtype=np.float64)
             if values.shape != (self.t_max - self.w + 1,):
                 raise ValueError(
@@ -130,20 +145,21 @@ class ThresholdSchedule:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ThresholdSchedule":
+        if not isinstance(doc, dict):
+            raise ValueError("schedule document must be a JSON object")
         unknown = set(doc) - _SCHEDULE_KEYS
         if unknown:
             raise ValueError(f"unknown schedule keys: {sorted(unknown)}")
         missing = {"kind", "w", "alpha"} - set(doc)
         if missing:
             raise ValueError(f"schedule document missing keys: {sorted(missing)}")
-        values = doc.get("values")
         return cls(
             kind=doc["kind"],
-            w=int(doc["w"]),
+            w=doc["w"],
             alpha=doc["alpha"],
             fixed_h=doc.get("fixed_h"),
-            values=None if values is None else np.asarray(values, dtype=np.float64),
-            t_max=None if doc.get("T_max") is None else int(doc["T_max"]),
+            values=doc.get("values"),
+            t_max=doc.get("T_max"),
         )
 
     @classmethod

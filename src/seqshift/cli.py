@@ -93,8 +93,8 @@ def _probability(value, where):
 
 
 def _bandwidth(value, where):
-    if value != "median" and not _number(value, where) > 0.0:
-        raise ConfigError(f"{where}: expected a positive number or \"median\", got {value!r}")
+    if value != "median" and not 0.0 < _number(value, where) < math.inf:
+        raise ConfigError(f"{where}: expected a finite number > 0 or \"median\", got {value!r}")
     return value
 
 
@@ -116,7 +116,7 @@ SUMMARIES = {
         "linear_softmax": {"weights": (_numbers,), "bias": (_numbers,)},
     }),)},
 }
-KERNELS = {"rbf": {"bandwidth": (_bandwidth,)}, "linear": {}, "constant": {}}
+KERNELS = {"rbf": {"bandwidth": (_bandwidth,)}, "linear": {}}
 THRESHOLDS = {
     "fixed": {"value": (_number,), "alpha": (_probability, None)},
     "ks_asymptotic": {"alpha": (_probability,)},

@@ -5,10 +5,11 @@ aggregates detection times.  Run lengths are counted in test opportunities
 (a detection at the first full-window step counts as 1), the scale on
 which the hazard/run-length targets are stated.  Parallelism is across
 runs; every run's randomness is derived from (master seed, run index), so
-reports are bitwise independent of the worker count.  The harness keeps no
-module state: each call hands its runs their own experiment description,
-so concurrent calls (from threads, say) cannot see each other's
-references, and runs come back in run-id order.
+reports are bitwise independent of the worker count.  Every run steps
+the experiment's one ``DetectorConfig``, validated once (a redrawn run
+replaces only its reference), so runs measure the deployed detector.  No
+module state: concurrent calls cannot see each other's references, and
+runs come back in run-id order.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import multiprocessing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -24,11 +25,11 @@ from scipy import stats as sps
 
 from . import detector as detector_mod
 from . import streams
-from .batch import check_statistic, sliding_ks_stats, sliding_mean_diff_stats
+from .batch import sliding_ks_stats, sliding_mean_diff_stats
 from .calibration import ThresholdSchedule
 from .statistics import KS, MEAN_DIFF, Kernel, ReferenceSet
 from .streams import ChangePointModel, DistributionSpec
-from .summaries import SummaryStatistic, apply_summary, identity
+from .summaries import SummaryStatistic, apply_summary
 
 
 class _Report:
@@ -107,16 +108,11 @@ def check_sample(sample: np.ndarray, summary: SummaryStatistic) -> None:
 class _RunContext:
     """One Monte Carlo experiment; picklable, so it travels to workers."""
 
+    config: detector_mod.DetectorConfig  # when redrawing, run 0's reference
     model: ChangePointModel
-    schedule: ThresholdSchedule
     cap: int
     master_seed: int
-    statistic: str
-    summary: SummaryStatistic
-    kernel: Optional[Kernel]
-    reference: Optional[ReferenceSet]  # None: draw one per run from the recipe
-    reference_spec: Optional[DistributionSpec]
-    reference_size: Optional[int]
+    redraw: Optional[DistributionSpec]  # draw each later run's reference from this
 
 
 def _stream_blocks(ctx: _RunContext, run_id: int, t: int):
@@ -132,10 +128,10 @@ def _stream_blocks(ctx: _RunContext, run_id: int, t: int):
 
 
 def _fast_detection_time(
-    ctx: _RunContext, ref: ReferenceSet, run_id: int
+    ctx: _RunContext, config: detector_mod.DetectorConfig, run_id: int
 ) -> Optional[int]:
     """Vectorized sliding-window scan; bitwise equal to the stepped detector."""
-    w = ctx.schedule.w
+    w = config.window_size
     carry = (
         streams.generate_chunk(ctx.model, 1, w - 1, ctx.master_seed, run_id)[:, 0]
         if w > 1
@@ -143,41 +139,27 @@ def _fast_detection_time(
     )
     for t0, block in _stream_blocks(ctx, run_id, w):
         buf = np.concatenate((carry, block[:, 0]))
-        if ctx.statistic == KS:
-            stats = sliding_ks_stats(buf, ref, w)
+        if config.statistic == KS:
+            stats = sliding_ks_stats(buf, config.reference, w)
         else:
-            stats = sliding_mean_diff_stats(buf, ref, w)
-        hits = stats > ctx.schedule.thresholds_for_range(t0, len(block))
+            stats = sliding_mean_diff_stats(buf, config.reference, w)
+        hits = stats > config.schedule.thresholds_for_range(t0, len(block))
         if np.any(hits):
             return t0 + int(np.argmax(hits))
         carry = buf[len(block):]
     return None
 
 
-def _stepped_detection_time(
-    ctx: _RunContext, ref: ReferenceSet, run_id: int
-) -> Optional[int]:
-    config = detector_mod.DetectorConfig(
-        reference=ref,
-        schedule=ctx.schedule,
-        window_size=ctx.schedule.w,
-        statistic=ctx.statistic,
-        summary=ctx.summary,
-        kernel=ctx.kernel,
-    )
+def _detection_time(ctx: _RunContext, run_id: int) -> Optional[int]:
+    config = ctx.config
+    if ctx.redraw is not None and run_id > 0:
+        config = replace(config, reference=ReferenceSet(streams.draw_reference(
+            ctx.redraw, config.reference.n, ctx.master_seed, run_id
+        )))
+    if config.statistic in (KS, MEAN_DIFF) and config.summary.kind == "identity":
+        return _fast_detection_time(ctx, config, run_id)
     stream = (x for _, block in _stream_blocks(ctx, run_id, 1) for x in block)
     return detector_mod.run(config, stream, ctx.cap).detection_time
-
-
-def _detection_time(ctx: _RunContext, run_id: int) -> Optional[int]:
-    ref = ctx.reference
-    if ref is None:
-        ref = ReferenceSet(streams.draw_reference(
-            ctx.reference_spec, ctx.reference_size, ctx.master_seed, run_id
-        ))
-    if ctx.statistic in (KS, MEAN_DIFF) and ctx.summary.kind == "identity":
-        return _fast_detection_time(ctx, ref, run_id)
-    return _stepped_detection_time(ctx, ref, run_id)
 
 
 def _detection_times(
@@ -210,22 +192,22 @@ def _detection_times(
             )
     if cap < schedule.w:
         raise ValueError("cap must be at least the window size")
-    dim = reference.dim if reference is not None else reference_spec.dim
-    check_statistic(statistic, dim, schedule.w, kernel)
     if summary is not None and summary.kind == "model_loss":
         raise ValueError(
             "model_loss summaries need per-instance labels, which synthetic "
             "streams do not carry"
         )
-    if summary is None:
-        summary = identity(dim)
-    if summary.out_dim != dim:
-        raise ValueError(f"summary out_dim {summary.out_dim} != reference dimension {dim}")
-    check_stream(model, summary)
-    run = functools.partial(_detection_time, _RunContext(
-        model, schedule, cap, master_seed, statistic, summary, kernel,
-        reference, reference_spec, reference_size,
-    ))
+    if reference is None:
+        reference = ReferenceSet(
+            streams.draw_reference(reference_spec, reference_size, master_seed, 0)
+        )
+    config = detector_mod.DetectorConfig(
+        reference, schedule, schedule.w, statistic, summary, kernel
+    )
+    check_stream(model, config.summary)
+    run = functools.partial(
+        _detection_time, _RunContext(config, model, cap, master_seed, reference_spec)
+    )
     if workers <= 1:
         return [run(run_id) for run_id in range(n_runs)]
     with multiprocessing.Pool(processes=workers) as pool:
@@ -340,6 +322,8 @@ def geometric_gof_pvalue(
     {1, 2, ...} (duplicate edges merged, final bin open-ended), so
     expected counts stay balanced.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie strictly between 0 and 1")
     run_lengths = np.asarray(run_lengths)
     if run_lengths.size < 10:
         raise ValueError("need at least 10 run lengths")

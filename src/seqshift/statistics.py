@@ -28,20 +28,21 @@ _MEDIAN_HEURISTIC_MAX_PAIRS = 120_000_000
 
 @dataclass(frozen=True)
 class Kernel:
-    """Positive-definite kernel: ``rbf``, ``linear``, or ``constant`` (k=1).
+    """Positive-definite kernel: ``rbf`` or ``linear``.
 
-    RBF uses k(x, y) = exp(-||x - y||^2 / (2 * bandwidth^2)).
+    RBF uses k(x, y) = exp(-||x - y||^2 / (2 * bandwidth^2)); an infinite
+    bandwidth would make every MMD^2 exactly 0, a detector that never fires.
     """
 
     kind: str
     bandwidth: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in ("rbf", "linear", "constant"):
+        if self.kind not in ("rbf", "linear"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "rbf":
-            if self.bandwidth is None or not self.bandwidth > 0.0:
-                raise ValueError("rbf kernel requires bandwidth > 0")
+            if self.bandwidth is None or not 0.0 < self.bandwidth < np.inf:
+                raise ValueError("rbf kernel requires a finite bandwidth > 0")
         elif self.bandwidth is not None:
             raise ValueError(f"{self.kind} kernel takes no bandwidth")
 
@@ -49,12 +50,10 @@ class Kernel:
         """Kernel matrix of shape (len(X), len(Y))."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
-        if self.kind == "rbf":
-            sq = cdist(X, Y, metric="sqeuclidean")
-            return np.exp(sq / (-2.0 * self.bandwidth**2))
         if self.kind == "linear":
             return X @ Y.T
-        return np.ones((X.shape[0], Y.shape[0]), dtype=np.float64)
+        sq = cdist(X, Y, metric="sqeuclidean")
+        return np.exp(sq / (-2.0 * self.bandwidth**2))
 
     def diag_sum(self, X: np.ndarray) -> float:
         """sum_i k(x_i, x_i) without building a matrix."""

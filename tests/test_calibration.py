@@ -149,6 +149,10 @@ class TestThresholdSchedule:
         with pytest.raises(ValueError):
             sched.thresholds_for_range(2, 3)
 
+    def test_alpha_range(self):
+        with pytest.raises(ValueError, match="alpha"):
+            fixed_threshold(0.3, 5, alpha=2.0)
+
     def test_values_length_validated(self):
         with pytest.raises(ValueError, match="length"):
             ThresholdSchedule(

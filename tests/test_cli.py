@@ -167,6 +167,12 @@ class TestConfigValidation:
             (lambda cfg: cfg["detector"].update(
                 statistic="mmd", kernel={"kind": "rbf", "bandwidth": [1.0]}),
              "detector.kernel.bandwidth"),
+            # JSON Infinity parses; the kernel would make every MMD^2 exactly 0
+            (lambda cfg: cfg["detector"].update(
+                statistic="mmd", kernel={"kind": "rbf", "bandwidth": float("inf")}),
+             "detector.kernel.bandwidth"),
+            (lambda cfg: cfg["detector"].update(statistic="mmd", kernel={"kind": "constant"}),
+             "detector.kernel"),
             # open() takes an int path as a file descriptor; this one is never open
             (lambda cfg: cfg.update(reference={"path": 987654}), "reference.path"),
             (lambda cfg: cfg["detector"].update(
@@ -182,7 +188,8 @@ class TestConfigValidation:
         ids=["redraw_per_run", "alpha", "value", "min_survivors", "means",
              "means_string", "variances_string", "reference_means_null",
              "weights_bool", "matrix_string", "model_weights_bool", "model_bias_null",
-             "bandwidth_string", "bandwidth_list", "reference_path_number",
+             "bandwidth_string", "bandwidth_list", "bandwidth_infinite", "kernel_constant",
+             "reference_path_number",
              "schedule_path_number", "change_point_bool", "change_point_float",
              "change_point_string", "seed_negative"],
     )
@@ -194,6 +201,32 @@ class TestConfigValidation:
                      "--out", str(tmp_path / "r.json")])
         assert code == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"alpha": "0.05"}, {"alpha": 0}, {"alpha": 1.5}, {"fixed_h": "0.3"},
+            {"fixed_h": True}, {"w": 20.9}, {"w": "20"}, {"values": [0.3], "T_max": 20},
+            {"kind": "time_varying", "fixed_h": None, "values": [0.3], "T_max": 20.5},
+            None,
+        ],
+        ids=["alpha_string", "alpha_zero", "alpha_above_one", "fixed_h_string",
+             "fixed_h_bool", "w_float", "w_string", "fixed_with_values",
+             "t_max_float", "not_an_object"],
+    )
+    def test_schedule_file_checked_strictly(self, tmp_path, capsys, changes):
+        """A schedule file is checked as strictly as the config: nothing is
+        coerced, and no value crashes the command or runs as another."""
+        doc = json.loads(calibration.fixed_threshold(0.3, w=20, alpha=0.05).to_json())
+        schedule = tmp_path / "schedule.json"
+        schedule.write_text(json.dumps(5 if changes is None else {**doc, **changes}))
+        cfg = base_arl_config(redraw=False)
+        cfg["detector"]["threshold"] = {"policy": "schedule_file", "path": str(schedule)}
+        del cfg["evaluation"]["cap"]  # so the cap comes from the file's alpha
+        code = main(["arl", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "detector.threshold" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["arl", "delay", "reproduce-appendix"])
     @pytest.mark.parametrize("workers", ["0", "-4"])

@@ -35,7 +35,7 @@ def cases(draw):
         n=draw(st.integers(2, 60)),
         w=draw(st.integers(2 if mmd else 1, 30)),
         d=draw(st.integers(1, 4)) if mmd else 1,
-        kernel=draw(st.sampled_from(("rbf", "linear", "constant"))) if mmd else None,
+        kernel=draw(st.sampled_from(("rbf", "linear"))) if mmd else None,
         rows=draw(st.integers(1, 4)),
         extra_steps=draw(st.integers(0, 50)),
         seed=draw(st.integers(0, 2**32 - 1)),

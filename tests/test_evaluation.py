@@ -55,6 +55,24 @@ class TestEstimateArl0:
         assert report.mean_T == 1.0
         assert report.median_T == 1.0
 
+    def test_stepped_runs_share_one_detector_config(self, std_normal, monkeypatch):
+        """The experiment's config is validated once, not once per run."""
+        checks = []
+        post_init = DetectorConfig.__post_init__
+
+        def counted(config):
+            checks.append(config)
+            post_init(config)
+
+        monkeypatch.setattr(DetectorConfig, "__post_init__", counted)
+        report = estimate_arl0(
+            fixed_threshold(0.2, w=10), null_model(std_normal), n_runs=5, cap=60,
+            master_seed=3, statistic="mmd", kernel=Kernel("rbf", 1.0),
+            reference=ReferenceSet(draw_reference(std_normal, 50, master_seed=4)),
+        )
+        assert len(report.runs) == 5
+        assert len(checks) == 1
+
     def test_reference_modes_are_exclusive(self, std_normal, small_reference):
         with pytest.raises(ValueError, match="exactly one"):
             estimate_arl0(
@@ -304,6 +322,9 @@ class TestGeometricGof:
             geometric_gof_pvalue(np.array([1, 2, 3]), 0.5)
         with pytest.raises(ValueError):
             geometric_gof_pvalue(np.zeros(100, dtype=int), 0.5)
+        for alpha in (0.0, 1.0, -0.1):
+            with pytest.raises(ValueError, match="strictly between 0 and 1"):
+                geometric_gof_pvalue(np.arange(1, 101), alpha)
 
 
 class TestSlacknessOp:
