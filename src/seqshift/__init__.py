@@ -21,7 +21,6 @@ from .evaluation import (
     estimate_arl0,
     estimate_delay,
     geometric_gof_pvalue,
-    slackness,
 )
 from .statistics import (
     KS,
@@ -87,5 +86,4 @@ __all__ = [
     "run",
     "sample_at",
     "save_stream_file",
-    "slackness",
 ]

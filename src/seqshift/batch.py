@@ -10,11 +10,11 @@ harness uses on scalar streams repeat the engines' expressions, so a
 vectorized run and a stepped run of the same stream agree bitwise.
 
 Calibration only ever pushes reference atoms, so it passes their indices
-as ``push_column(..., atoms=idx)``.  The engines then gather per-atom
-state computed once, on first use, by the very expression the value path
-applies to an arbitrary point (KS reference CDF counts, MMD reference
-cross sums), so both paths give the same bits.  The detector pushes
-points and evaluates them.
+as ``push_column(..., atoms=idx)`` and the engines gather the reference's
+per-atom tables (KS CDF counts, MMD cross sums), built once per reference
+and kernel (rbf cross sums in the self-sum's pass) by the very expression
+the value path applies to a point, so both paths give the same bits.  The
+engines keep only per-stream state; the detector pushes points.
 
 :func:`check_statistic` is the one statement of each statistic's rules;
 the engines, the detector, calibration, the Monte Carlo harness and the
@@ -72,9 +72,7 @@ def sliding_ks_stats(buf: np.ndarray, reference: ReferenceSet, w: int) -> np.nda
     ``buf`` holds w - 1 carried values followed by the chunk's new values;
     the result has one statistic per new value.
     """
-    ref_sorted = reference.sorted_values
-    left = np.searchsorted(ref_sorted, buf, side="left").astype(np.int32)
-    right = np.searchsorted(ref_sorted, buf, side="right").astype(np.int32)
+    left, right = reference.cdf_counts(buf)
     left_rows = np.lib.stride_tricks.sliding_window_view(left, w)
     right_rows = np.lib.stride_tricks.sliding_window_view(right, w)
     return ks_stats_from_count_rows(left_rows, right_rows, reference.n, w)
@@ -92,8 +90,8 @@ class BatchKsEngine(_WindowRing):
     """Lockstep sliding windows for many streams, KS statistic.
 
     Stores each element's reference CDF counts rather than its value: one
-    binary search per arriving value, or a gather from the per-atom counts
-    when the arrivals are reference atoms; integer sorts per statistic.
+    binary search per arriving value, or a gather from the reference's
+    per-atom counts for reference atoms; integer sorts per statistic.
     """
 
     def __init__(self, reference: ReferenceSet, w: int, n_streams: int):
@@ -101,14 +99,6 @@ class BatchKsEngine(_WindowRing):
         self.reference = reference
         self._left = np.zeros((n_streams, w), dtype=np.int32)
         self._right = np.zeros((n_streams, w), dtype=np.int32)
-        self._atom_counts: Optional[tuple[np.ndarray, np.ndarray]] = None
-
-    def _cdf_counts(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Left and right reference CDF counts of each value."""
-        ref_sorted = self.reference.sorted_values
-        left = np.searchsorted(ref_sorted, values, side="left").astype(np.int32)
-        right = np.searchsorted(ref_sorted, values, side="right").astype(np.int32)
-        return left, right
 
     def push_column(
         self, col: np.ndarray, active: Optional[np.ndarray], atoms: Optional[np.ndarray] = None
@@ -116,11 +106,9 @@ class BatchKsEngine(_WindowRing):
         """Append one value per row; ``atoms``, if given, are the reference
         indices the values were drawn from (``col == reference.values[atoms]``)."""
         if atoms is None:
-            left, right = self._cdf_counts(np.asarray(col, dtype=np.float64).reshape(-1))
+            left, right = self.reference.cdf_counts(np.asarray(col, dtype=np.float64).reshape(-1))
         else:
-            if self._atom_counts is None:
-                self._atom_counts = self._cdf_counts(self.reference.values[:, 0])
-            left, right = (counts[atoms] for counts in self._atom_counts)
+            left, right = (counts[atoms] for counts in self.reference.atom_counts)
         # dead rows receive garbage harmlessly; they are never read again
         slot = self._next_slot()
         self._left[:, slot] = left
@@ -167,13 +155,13 @@ class BatchMmdEngine(_WindowRing):
     Maintains each stream's window self-sum and reference cross-sum
     incrementally (O(n + w) kernel evaluations per stream per step, or
     O(w) when the arrivals are reference atoms, whose cross sums are
-    gathered from a per-atom table); each slot's reference cross sum is
-    stored, so an eviction subtracts it without re-evaluating the kernel.
-    The reference self-sum is shared by all streams.  Sums are rebuilt from
-    the buffers every ``_REFRESH_EVERY`` pushes to bound float drift.
+    gathered from the reference's per-atom table); each slot's reference
+    cross sum is stored, so an eviction subtracts it without re-evaluating
+    the kernel.  The reference self-sum is shared by all streams.  Sums are
+    rebuilt from the buffers every ``_REFRESH_EVERY`` pushes to bound float
+    drift.
     """
 
-    _CROSS_CHUNK = 1024
     _REFRESH_EVERY = 10_000
 
     def __init__(self, reference: ReferenceSet, w: int, n_streams: int, kernel: Kernel):
@@ -186,52 +174,18 @@ class BatchMmdEngine(_WindowRing):
         self._c_sums = np.zeros(n_streams, dtype=np.float64)
         self._pushes_since_refresh = 0
         self._a_sum = reference.kernel_self_sum(kernel)
-        self._ref_sum = reference.values.sum(axis=0)
-        self._atom_cross: Optional[np.ndarray] = None
-
-    def _rowwise_kernel(self, points: np.ndarray, windows: np.ndarray) -> np.ndarray:
-        """k(points[i], windows[i, j]) for each row i -> (rows, window_len)."""
-        if self.kernel.kind == "linear":
-            # not einsum: its summation order depends on the operand shapes
-            return np.multiply(windows, points[:, None, :], order="C").sum(axis=-1)
-        # C order keeps each row's reductions independent of the row count
-        diff = np.subtract(windows, points[:, None, :], order="C")
-        sq = np.sum(diff**2, axis=-1)
-        return np.exp(sq / (-2.0 * self.kernel.bandwidth**2))
-
-    def _cross_sums(self, points: np.ndarray) -> np.ndarray:
-        """sum_i k(p, x_i) over the reference for each point p -> (rows,).
-
-        Each point's sum reduces its own kernel row, so the value does not
-        depend on how many points share the block.  A linear kernel sums to
-        <p, sum_i x_i>, reduced row by row because a BLAS matmul's order
-        depends on the block shape.
-        """
-        if self.kernel.kind == "linear":
-            return (points * self._ref_sum).sum(axis=1)
-        out = np.empty(points.shape[0], dtype=np.float64)
-        for lo in range(0, points.shape[0], self._CROSS_CHUNK):
-            block = points[lo : lo + self._CROSS_CHUNK]
-            out[lo : lo + self._CROSS_CHUNK] = self.kernel.matrix(
-                block, self.reference.values
-            ).sum(axis=1)
-        return out
 
     def push_column(
         self, col: np.ndarray, active: Optional[np.ndarray], atoms: Optional[np.ndarray] = None
     ) -> None:
         """Append one point per row; ``atoms``, if given, are the reference
         indices the points were drawn from (``col == reference.values[atoms]``)."""
-        col = np.asarray(col, dtype=np.float64)
-        if col.ndim == 1:
-            col = col[:, None]
+        col = np.asarray(col, dtype=np.float64).reshape(len(col), self.reference.dim)
         rows = slice(None) if active is None else active
         if atoms is None:
-            cross = self._cross_sums(col[rows])
+            cross = self.reference.cross_sums(col[rows], self.kernel)
         else:
-            if self._atom_cross is None:
-                self._atom_cross = self._cross_sums(self.reference.values)
-            cross = self._atom_cross[atoms[rows]]
+            cross = self.reference.atom_cross(self.kernel)[atoms[rows]]
         evicting = self.is_full
         slot = self._next_slot()
         if evicting:
@@ -240,12 +194,12 @@ class BatchMmdEngine(_WindowRing):
             old = self._buffer[rows, slot]
             # one gather of the live rows' kept slots
             others = self._buffer[rows if active is None else rows[:, None], keep]
-            k_old = self._rowwise_kernel(old, others)
+            k_old = self.kernel.rowwise(old, others)
             self._b_sums[rows] -= 2.0 * k_old.sum(axis=1)
             self._c_sums[rows] -= self._slot_cross[rows, slot]
         else:
             others = self._buffer[rows, :slot]  # empty on the first push: adds 0.0
-        k_new = self._rowwise_kernel(col[rows], others)
+        k_new = self.kernel.rowwise(col[rows], others)
         self._b_sums[rows] += 2.0 * k_new.sum(axis=1)
         self._c_sums[rows] += cross
         self._slot_cross[rows, slot] = cross
@@ -259,7 +213,7 @@ class BatchMmdEngine(_WindowRing):
             vals = self._buffer[i, : self._size]
             K = self.kernel.matrix(vals, vals)
             self._b_sums[i] = float(K.sum() - np.trace(K))
-            self._slot_cross[i, : self._size] = self._cross_sums(vals)
+            self._slot_cross[i, : self._size] = self.reference.cross_sums(vals, self.kernel)
             self._c_sums[i] = float(self._slot_cross[i, : self._size].sum())
         self._pushes_since_refresh = 0
 

@@ -95,7 +95,11 @@ class ThresholdSchedule:
                 raise ValueError("time-varying schedule requires values and t_max")
             if not _is_a(self.t_max, numbers.Integral) or self.t_max < self.w:
                 raise ValueError(f"t_max must be an integer >= w, got {self.t_max!r}")
-            values = np.asarray(self.values, dtype=np.float64)
+            values = self.values  # an array, or a schedule file's list: never coerced
+            if not (values.dtype.kind in "fiu" if isinstance(values, np.ndarray) else
+                    isinstance(values, list) and all(_is_a(v, numbers.Real) for v in values)):
+                raise ValueError("schedule values must be a list of numbers")
+            values = np.asarray(values, dtype=np.float64)
             if values.shape != (self.t_max - self.w + 1,):
                 raise ValueError(
                     f"values must cover t = w..t_max: expected length "
@@ -299,9 +303,10 @@ def calibrate_schedule(
     deployed detector, so surviving streams at step t reproduce the
     conditional statistic distribution given no detection before t.  Every
     pushed point is a reference atom, so the engine receives the drawn
-    atom indices and gathers per-atom tables it builds once over the
-    reference (KS reference CDF counts, MMD reference cross sums) instead
-    of evaluating each point against the whole reference at every step.
+    atom indices and gathers the reference's per-atom tables (KS CDF
+    counts, MMD cross sums, built once per reference and kernel, the MMD
+    ones in the self-sum's kernel pass) instead of evaluating each point
+    against the whole reference at every step.
 
     Raises if the surviving-stream count falls (or is bound to fall) below
     ``min_survivors`` before ``t_max``; the message carries the sizing

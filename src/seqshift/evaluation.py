@@ -82,13 +82,6 @@ class DelayReport(_Report):
     runs: Optional[List[Tuple[int, int, bool]]] = field(default=None, repr=False)
 
 
-def slackness(report: RunLengthReport, alpha: float) -> float:
-    """Ratio of the measured mean run length to the 1/alpha lower bound."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
-    return alpha * report.mean_T
-
-
 def check_stream(model: ChangePointModel, summary: SummaryStatistic) -> None:
     """Raise ``ValueError`` unless ``summary`` accepts the stream's samples."""
     check_sample(streams.sample_at(model, 1, master_seed=0), summary)

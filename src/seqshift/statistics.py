@@ -7,11 +7,16 @@ exactly from a window's contents; they are the plain reference
 definitions.  The incremental engines that calibration, the Monte Carlo
 harness and the deployed detector all run live in :mod:`seqshift.batch`
 and agree with these to 1e-9 relative.
+
+:class:`ReferenceSet` owns what depends on the reference alone: any point's
+KS CDF counts and MMD cross sums, and per-atom tables of both, built once
+per reference and kernel (the rbf atom cross sums in the self-sum's pass).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -24,6 +29,8 @@ STATISTIC_KINDS = (KS, MMD, MEAN_DIFF)
 
 # Exact median of every pairwise distance needs n(n-1)/2 floats in memory.
 _MEDIAN_HEURISTIC_MAX_PAIRS = 120_000_000
+
+_KERNEL_BLOCK = 1024  # points per block of kernel rows; bounds peak memory
 
 
 @dataclass(frozen=True)
@@ -61,6 +68,15 @@ class Kernel:
             return float(np.einsum("ij,ij->", X, X))
         return float(X.shape[0])
 
+    def rowwise(self, points: np.ndarray, windows: np.ndarray) -> np.ndarray:
+        """k(points[i], windows[i, j]) for each row i -> (rows, window_len)."""
+        if self.kind == "linear":
+            # not einsum: its summation order depends on the operand shapes
+            return np.multiply(windows, points[:, None, :], order="C").sum(axis=-1)
+        # C order keeps each row's reductions independent of the row count
+        diff = np.subtract(windows, points[:, None, :], order="C")
+        return np.exp(np.sum(diff**2, axis=-1) / (-2.0 * self.bandwidth**2))
+
 
 def median_heuristic(reference: "ReferenceSet") -> float:
     """Bandwidth set to the median of all pairwise Euclidean distances.
@@ -86,11 +102,8 @@ def median_heuristic(reference: "ReferenceSet") -> float:
 
 
 class ReferenceSet:
-    """Immutable pre-change summaries with cached sort and kernel structure.
-
-    Shareable across detector runs; every cache is derived once from the
-    stored values.
-    """
+    """Immutable pre-change summaries and everything derived from them, each
+    cached once (per kernel where one is involved); shareable across runs."""
 
     def __init__(self, values):
         values = np.asarray(values, dtype=np.float64)
@@ -109,20 +122,57 @@ class ReferenceSet:
         else:
             self.sorted_values = None
             self.scalar_mean = None
-        self._kernel_self_sums: dict[Kernel, float] = {}
+        self._value_sum = values.sum(axis=0)
+        self._kernel_sums: dict[Kernel, tuple[float, np.ndarray]] = {}
+
+    def cdf_counts(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Left and right reference CDF counts of each scalar value (int32)."""
+        left = np.searchsorted(self.sorted_values, values, side="left").astype(np.int32)
+        right = np.searchsorted(self.sorted_values, values, side="right").astype(np.int32)
+        return left, right
+
+    @cached_property
+    def atom_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`cdf_counts` of every reference atom, in stored order."""
+        return self.cdf_counts(self.values[:, 0])
+
+    def cross_sums(self, points: np.ndarray, kernel: Kernel) -> np.ndarray:
+        """sum_i k(p, x_i) over the reference for each point p -> (rows,).
+
+        Each point's sum reduces its own kernel row, so the value does not
+        depend on how many points share the block.  A linear kernel sums to
+        <p, sum_i x_i>, reduced row by row because a BLAS matmul's order
+        depends on the block shape.
+        """
+        if kernel.kind == "linear":
+            return (points * self._value_sum).sum(axis=1)
+        out = np.empty(points.shape[0], dtype=np.float64)
+        for lo in range(0, points.shape[0], _KERNEL_BLOCK):
+            block = points[lo : lo + _KERNEL_BLOCK]
+            out[lo : lo + _KERNEL_BLOCK] = kernel.matrix(block, self.values).sum(axis=1)
+        return out
 
     def kernel_self_sum(self, kernel: Kernel) -> float:
-        """Sum of k(x_i, x_j) over all i != j, cached per kernel."""
-        cached = self._kernel_self_sums.get(kernel)
-        if cached is None:
-            total = 0.0
-            block = 1024  # row blocks bound peak memory for large references
-            for lo in range(0, self.n, block):
-                rows = self.values[lo : lo + block]
-                total += float(kernel.matrix(rows, self.values).sum())
-            cached = total - kernel.diag_sum(self.values)
-            self._kernel_self_sums[kernel] = cached
-        return cached
+        """Sum of k(x_i, x_j) over all i != j, cached per kernel.  Its blocked
+        pass over the n x n kernel also gives the rbf atom cross sums: each
+        block's row sums, from the very blocks :meth:`cross_sums` builds."""
+        if kernel not in self._kernel_sums:
+            total, row_sums = 0.0, []
+            for lo in range(0, self.n, _KERNEL_BLOCK):
+                K = kernel.matrix(self.values[lo : lo + _KERNEL_BLOCK], self.values)
+                total += float(K.sum())
+                row_sums.append(K.sum(axis=1))
+            if kernel.kind == "linear":  # keeps the row-count-invariant <p, sum_i x_i>
+                row_sums = [self.cross_sums(self.values, kernel)]
+            self_sum = total - kernel.diag_sum(self.values)
+            self._kernel_sums[kernel] = (self_sum, np.concatenate(row_sums))
+        return self._kernel_sums[kernel][0]
+
+    def atom_cross(self, kernel: Kernel) -> np.ndarray:
+        """:meth:`cross_sums` of every atom, in stored order, cached per kernel."""
+        if kernel not in self._kernel_sums:
+            self.kernel_self_sum(kernel)
+        return self._kernel_sums[kernel][1]
 
 
 class _WindowRing:
@@ -224,9 +274,7 @@ def ks_distance(reference: ReferenceSet, window: SlidingWindow) -> float:
     m = len(window)
     if m == 0:
         raise ValueError("window is empty")
-    wsort = np.sort(window.scalar_values())
-    left = np.searchsorted(reference.sorted_values, wsort, side="left")
-    right = np.searchsorted(reference.sorted_values, wsort, side="right")
+    left, right = reference.cdf_counts(np.sort(window.scalar_values()))
     return _ks_from_counts(left, right, reference.n, m)
 
 

@@ -294,3 +294,30 @@ class TestCalibrationCost:
             counted.append(sum(rows))
         assert counted[0] <= reference.n
         assert counted == [counted[0]] * 3
+
+    def test_mmd_reference_kernel_built_once_per_reference(self, monkeypatch):
+        """On an unprimed reference the self-sum and the per-atom cross sums
+        share one pass over the reference kernel (at most n rows to
+        ``Kernel.matrix``), and a second calibration on the same reference
+        hands it none."""
+        plane = DistributionSpec.gaussian([0.0, 0.0], [1.0, 1.0])
+        reference = ReferenceSet(draw_reference(plane, 150, master_seed=3))
+        kernel = Kernel("rbf", bandwidth=1.0)
+        rows = []
+        matrix = Kernel.matrix
+
+        def counting_matrix(self, X, Y):
+            rows.append(np.atleast_2d(X).shape[0])
+            return matrix(self, X, Y)
+
+        monkeypatch.setattr(Kernel, "matrix", counting_matrix)
+        counted = []
+        for _ in range(2):
+            rows.clear()
+            calibrate_schedule(
+                reference, 10, CalibrationTarget(0.05), t_max=20, n_streams=300,
+                statistic="mmd", kernel=kernel, master_seed=4,
+            )
+            counted.append(sum(rows))
+        assert 0 < counted[0] <= reference.n
+        assert counted[1] == 0

@@ -208,11 +208,15 @@ class TestConfigValidation:
             {"alpha": "0.05"}, {"alpha": 0}, {"alpha": 1.5}, {"fixed_h": "0.3"},
             {"fixed_h": True}, {"w": 20.9}, {"w": "20"}, {"values": [0.3], "T_max": 20},
             {"kind": "time_varying", "fixed_h": None, "values": [0.3], "T_max": 20.5},
+            {"kind": "time_varying", "fixed_h": None, "values": ["0.3"], "T_max": 20},
+            {"kind": "time_varying", "fixed_h": None, "values": [True], "T_max": 20},
+            {"kind": "time_varying", "fixed_h": None, "values": {}, "T_max": 20},
             None,
         ],
         ids=["alpha_string", "alpha_zero", "alpha_above_one", "fixed_h_string",
              "fixed_h_bool", "w_float", "w_string", "fixed_with_values",
-             "t_max_float", "not_an_object"],
+             "t_max_float", "values_string", "values_bool", "values_object",
+             "not_an_object"],
     )
     def test_schedule_file_checked_strictly(self, tmp_path, capsys, changes):
         """A schedule file is checked as strictly as the config: nothing is

@@ -22,10 +22,8 @@ from seqshift import (
     geometric_gof_pvalue,
     ks_asymptotic_threshold,
     null_model,
-    slackness,
 )
 from seqshift import run as run_detector
-from seqshift.evaluation import RunLengthReport
 from seqshift.summaries import SummaryStatistic, identity, squared_error_loss
 
 
@@ -123,7 +121,7 @@ class TestEstimateArl0:
             sched, null_model(std_normal), n_runs=40, cap=2000,
             master_seed=11, reference=small_reference,
         )
-        assert report.slackness == pytest.approx(slackness(report, 0.05))
+        assert report.slackness == pytest.approx(0.05 * report.mean_T)
 
     def test_stream_must_fit_summary(self, small_reference):
         plane = DistributionSpec.gaussian([0.0, 0.0], [1.0, 1.0])
@@ -325,29 +323,3 @@ class TestGeometricGof:
         for alpha in (0.0, 1.0, -0.1):
             with pytest.raises(ValueError, match="strictly between 0 and 1"):
                 geometric_gof_pvalue(np.arange(1, 101), alpha)
-
-
-class TestSlacknessOp:
-    def test_tight_bound(self):
-        report = RunLengthReport(
-            n_runs=10, cap=100, w=5, mean_T=100.0, median_T=70.0, q10=10.0,
-            q90=230.0, standard_error=1.0, censored_count=0,
-        )
-        assert slackness(report, 0.01) == pytest.approx(1.0)
-
-    def test_paper_scale_values(self):
-        report = RunLengthReport(
-            n_runs=10, cap=10**6, w=100, mean_T=11_000.0, median_T=0.0,
-            q10=0.0, q90=0.0, standard_error=0.0, censored_count=0,
-        )
-        assert slackness(report, 0.001) == pytest.approx(11.0)
-        report.mean_T = 32_000.0
-        assert slackness(report, 0.001) == pytest.approx(32.0)
-
-    def test_alpha_validated(self):
-        report = RunLengthReport(
-            n_runs=1, cap=10, w=2, mean_T=5.0, median_T=5.0, q10=5.0, q90=5.0,
-            standard_error=0.0, censored_count=0,
-        )
-        with pytest.raises(ValueError):
-            slackness(report, 0.0)

@@ -311,6 +311,32 @@ class TestReferenceSet:
         )
         assert ref.kernel_self_sum(kernel) == pytest.approx(want, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "kernel", [Kernel("rbf", bandwidth=1.3), Kernel("linear")], ids=["rbf", "linear"]
+    )
+    def test_atom_cross_is_the_point_path(self, rng, kernel):
+        """At n=1500 the shared kernel pass spans two 1024-row blocks.  The
+        atom cross sums equal ``cross_sums`` of the reference's own values
+        bit for bit, and both tables come out the same whichever is asked
+        for first."""
+        values = rng.normal(size=(1500, 3))
+        self_sum_first, atoms_first = ReferenceSet(values), ReferenceSet(values)
+        self_sum = self_sum_first.kernel_self_sum(kernel)
+        atom_cross = atoms_first.atom_cross(kernel)
+        want = atoms_first.cross_sums(atoms_first.values, kernel)
+        assert np.array_equal(atom_cross, want)
+        assert np.array_equal(self_sum_first.atom_cross(kernel), want)
+        assert atoms_first.kernel_self_sum(kernel) == self_sum
+
+    def test_atom_counts_are_the_point_path(self, rng):
+        values = np.round(rng.normal(size=1500), 1)  # ties: left and right counts differ
+        ref = ReferenceSet(values)
+        left, right = ref.atom_counts
+        want_left, want_right = ref.cdf_counts(ref.values[:, 0])
+        assert np.array_equal(left, want_left) and np.array_equal(right, want_right)
+        assert np.any(left != right)
+        assert ref.atom_counts is ref.atom_counts
+
     def test_kernel_validation(self):
         with pytest.raises(ValueError, match="bandwidth"):
             Kernel("rbf")
