@@ -44,7 +44,13 @@ from .streams import (
     sample_at,
     save_stream_file,
 )
-from .summaries import LinearSoftmaxModel, SummaryStatistic, apply_summary, identity
+from .summaries import (
+    LinearSoftmaxModel,
+    SummaryStatistic,
+    apply_summary,
+    apply_summary_rows,
+    identity,
+)
 
 __version__ = "0.1.0"
 
@@ -67,6 +73,7 @@ __all__ = [
     "SummaryStatistic",
     "ThresholdSchedule",
     "apply_summary",
+    "apply_summary_rows",
     "calibrate_schedule",
     "draw_reference",
     "estimate_arl0",

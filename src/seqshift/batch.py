@@ -2,12 +2,16 @@
 
 A ``Batch*Engine`` advances any number of sliding windows in lockstep (one
 ring-buffer column per step).  Threshold calibration runs thousands of
-pseudo-null streams through one engine, and the deployed detector is the
-one-row case of the same engine, so the statistic a detector computes is
-the one calibration ranked.  Every per-row expression is independent of
-the number of rows, and the ``sliding_*_stats`` scans the Monte Carlo
-harness uses on scalar streams repeat the engines' expressions, so a
-vectorized run and a stepped run of the same stream agree bitwise.
+pseudo-null streams through one engine, the Monte Carlo harness runs every
+run of an experiment as a row of one engine, and the deployed detector is
+the one-row case of the same engine, so the statistic a detector computes
+is the one calibration ranked and the harness measured.  Every per-row
+expression is independent of the number of rows, and rows dropped from
+``active`` cost no per-value work.  The ``sliding_*_stats`` scans repeat
+the KS and mean-difference expressions over a whole scalar stream; the
+harness uses them only for fixed-threshold runs that redraw their own
+reference, each a group of one, so a scanned run and a stepped run of the
+same stream agree bitwise.
 
 Calibration only ever pushes reference atoms, so it passes their indices
 as ``push_column(..., atoms=idx)`` and the engines gather the reference's
@@ -104,15 +108,19 @@ class BatchKsEngine(_WindowRing):
         self, col: np.ndarray, active: Optional[np.ndarray], atoms: Optional[np.ndarray] = None
     ) -> None:
         """Append one value per row; ``atoms``, if given, are the reference
-        indices the values were drawn from (``col == reference.values[atoms]``)."""
+        indices the values were drawn from (``col == reference.values[atoms]``).
+        Values are searched only for ``active`` rows; the others keep stale
+        counts in this slot, garbage that is never read again."""
         if atoms is None:
-            left, right = self.reference.cdf_counts(np.asarray(col, dtype=np.float64).reshape(-1))
+            rows = slice(None) if active is None else active
+            col = np.asarray(col, dtype=np.float64).reshape(-1)
+            left, right = self.reference.cdf_counts(col[rows])
         else:
+            rows = slice(None)
             left, right = (counts[atoms] for counts in self.reference.atom_counts)
-        # dead rows receive garbage harmlessly; they are never read again
         slot = self._next_slot()
-        self._left[:, slot] = left
-        self._right[:, slot] = right
+        self._left[rows, slot] = left
+        self._right[rows, slot] = right
 
     def statistics(self, active: np.ndarray) -> np.ndarray:
         self._require_full()

@@ -1,15 +1,19 @@
 """Monte Carlo measurement of run-length and detection-delay behaviour.
 
-Runs many independent detector instances on synthetic streams and
-aggregates detection times.  Run lengths are counted in test opportunities
-(a detection at the first full-window step counts as 1), the scale on
-which the hazard/run-length targets are stated.  Parallelism is across
-runs; every run's randomness is derived from (master seed, run index), so
-reports are bitwise independent of the worker count.  Every run steps
-the experiment's one ``DetectorConfig``, validated once (a redrawn run
-replaces only its reference), so runs measure the deployed detector.  No
-module state: concurrent calls cannot see each other's references, and
-runs come back in run-id order.
+Runs many independent detectors on synthetic streams and aggregates
+detection times.  Run lengths are counted in test opportunities (a
+detection at the first full-window step counts as 1), the scale on which
+the hazard/run-length targets are stated.  Every run is a row of one
+lockstep engine built from the experiment's one ``DetectorConfig``,
+validated once, the engine a deployed detector steps: blocks of streams
+are drawn and summarised together, each step pushes one column, and rows
+above the threshold drop out, as in calibration.  A redrawn reference
+(fixed thresholds only) makes a run its own one-row group with its own
+config; for ks / mean_diff such a run is a vectorized sliding scan, the
+only use of the scan.  Every run's randomness is derived from (master
+seed, run index), so reports are bitwise independent of how runs are
+grouped and of the worker count.  No module state: concurrent calls
+cannot see each other's references, and runs come back in run-id order.
 """
 
 from __future__ import annotations
@@ -23,13 +27,13 @@ from typing import List, Optional, Tuple
 import numpy as np
 from scipy import stats as sps
 
-from . import detector as detector_mod
 from . import streams
-from .batch import sliding_ks_stats, sliding_mean_diff_stats
+from .batch import make_batch_engine, sliding_ks_stats, sliding_mean_diff_stats
 from .calibration import ThresholdSchedule
+from .detector import DetectorConfig
 from .statistics import KS, MEAN_DIFF, Kernel, ReferenceSet
 from .streams import ChangePointModel, DistributionSpec
-from .summaries import SummaryStatistic, apply_summary
+from .summaries import SummaryStatistic, apply_summary, apply_summary_rows
 
 
 class _Report:
@@ -101,58 +105,128 @@ def check_sample(sample: np.ndarray, summary: SummaryStatistic) -> None:
 class _RunContext:
     """One Monte Carlo experiment; picklable, so it travels to workers."""
 
-    config: detector_mod.DetectorConfig  # when redrawing, run 0's reference
+    config: DetectorConfig  # when redrawing, run 0's reference
     model: ChangePointModel
     cap: int
     master_seed: int
     redraw: Optional[DistributionSpec]  # draw each later run's reference from this
 
 
-def _stream_blocks(ctx: _RunContext, run_id: int, t: int):
-    """The run's samples from step ``t`` to the cap, as (first step, block)
-    pairs; blocks grow from 128 to 1024 steps, so short runs stay cheap and
-    long runs amortize the per-block cost."""
+# Runs per engine: bounds a block of stream samples at 1024 runs x 1024 steps.
+_RUN_BLOCK = 1024
+
+
+def _stream_blocks(t: int, cap: int):
+    """(first step, step count) of the blocks covering steps ``t`` to ``cap``;
+    blocks grow from 128 to 1024 steps, so short runs stay cheap and long
+    runs amortize the per-block cost."""
     size = 128
-    while t <= ctx.cap:
-        count = min(size, ctx.cap - t + 1)
-        yield t, streams.generate_chunk(ctx.model, t, count, ctx.master_seed, run_id)
+    while t <= cap:
+        count = min(size, cap - t + 1)
+        yield t, count
         t += count
         size = min(size * 2, 1024)
 
 
-def _fast_detection_time(
-    ctx: _RunContext, config: detector_mod.DetectorConfig, run_id: int
-) -> Optional[int]:
-    """Vectorized sliding-window scan; bitwise equal to the stepped detector."""
-    w = config.window_size
-    carry = (
-        streams.generate_chunk(ctx.model, 1, w - 1, ctx.master_seed, run_id)[:, 0]
-        if w > 1
-        else np.empty(0, dtype=np.float64)
+def _summary_block(
+    summary: SummaryStatistic,
+    model: ChangePointModel,
+    t: int,
+    count: int,
+    master_seed: int,
+    run_ids,
+) -> np.ndarray:
+    """Summaries of steps ``t .. t + count - 1`` of each run, shape
+    (count, runs, out_dim); each run's samples come from its own key."""
+    raw = np.empty((count, len(run_ids), model.dim), dtype=np.float64)
+    for i, run_id in enumerate(run_ids):
+        raw[:, i] = streams.generate_chunk(model, t, count, master_seed, run_id)
+    return apply_summary_rows(summary, raw.reshape(-1, model.dim)).reshape(
+        count, len(run_ids), summary.out_dim
     )
-    for t0, block in _stream_blocks(ctx, run_id, w):
-        buf = np.concatenate((carry, block[:, 0]))
-        if config.statistic == KS:
-            stats = sliding_ks_stats(buf, config.reference, w)
-        else:
-            stats = sliding_mean_diff_stats(buf, config.reference, w)
-        hits = stats > config.schedule.thresholds_for_range(t0, len(block))
+
+
+def _lockstep_detection_times(
+    config: DetectorConfig,
+    model: ChangePointModel,
+    cap: int,
+    master_seed: int,
+    run_ids,
+) -> List[Optional[int]]:
+    """Detection times (None when censored) of runs ``run_ids``, each a row
+    of one engine.
+
+    Every step pushes one column, reads the live rows' statistics, and
+    drops the rows above the threshold.  The engines' per-row expressions
+    do not depend on the number of rows, so each time equals a lone
+    detector's on the same stream, whatever runs share the engine.
+    """
+    rows = len(run_ids)
+    engine = make_batch_engine(
+        config.statistic, config.reference, config.window_size, rows, config.kernel
+    )
+    times: List[Optional[int]] = [None] * rows
+    active = np.arange(rows)  # engine rows still running
+    col = np.zeros((rows, config.reference.dim), dtype=np.float64)
+    for t0, count in _stream_blocks(1, cap):
+        block = _summary_block(
+            config.summary, model, t0, count, master_seed, [run_ids[i] for i in active]
+        )
+        live = np.arange(active.size)  # each active row's column of the block
+        for t in range(t0, t0 + count):
+            col[active] = block[t - t0, live]
+            # None while every row is live, so the engines slice rather than gather
+            engine.push_column(col, None if active.size == rows else active)
+            threshold = config.schedule.threshold_at(t)
+            if threshold is None:
+                continue
+            hit = engine.statistics(active) > threshold
+            if hit.any():
+                for row in active[hit]:
+                    times[row] = t
+                active, live = active[~hit], live[~hit]
+                if not active.size:
+                    return times
+    return times
+
+
+def _fast_detection_time(ctx: _RunContext, config: DetectorConfig, run_id: int) -> Optional[int]:
+    """Vectorized sliding-window scan of one scalar-summary run; bitwise
+    equal to the engines."""
+    w = config.window_size
+    scan = sliding_ks_stats if config.statistic == KS else sliding_mean_diff_stats
+
+    def summaries(t, count):
+        return _summary_block(config.summary, ctx.model, t, count, ctx.master_seed, [run_id])[:, 0, 0]
+
+    carry = summaries(1, w - 1) if w > 1 else np.empty(0, dtype=np.float64)
+    for t0, count in _stream_blocks(w, ctx.cap):
+        buf = np.concatenate((carry, summaries(t0, count)))
+        hits = scan(buf, config.reference, w) > config.schedule.thresholds_for_range(t0, count)
         if np.any(hits):
             return t0 + int(np.argmax(hits))
-        carry = buf[len(block):]
+        carry = buf[count:]
     return None
 
 
-def _detection_time(ctx: _RunContext, run_id: int) -> Optional[int]:
+def _redrawn_detection_time(ctx: _RunContext, run_id: int) -> Optional[int]:
+    """One run against its own reference: a sliding scan for ks / mean_diff,
+    else a one-row engine."""
     config = ctx.config
-    if ctx.redraw is not None and run_id > 0:
+    if run_id > 0:
         config = replace(config, reference=ReferenceSet(streams.draw_reference(
             ctx.redraw, config.reference.n, ctx.master_seed, run_id
         )))
-    if config.statistic in (KS, MEAN_DIFF) and config.summary.kind == "identity":
+    if config.statistic in (KS, MEAN_DIFF):
         return _fast_detection_time(ctx, config, run_id)
-    stream = (x for _, block in _stream_blocks(ctx, run_id, 1) for x in block)
-    return detector_mod.run(config, stream, ctx.cap).detection_time
+    return _lockstep_detection_times(config, ctx.model, ctx.cap, ctx.master_seed, [run_id])[0]
+
+
+def _block_detection_times(ctx: _RunContext, run_ids: np.ndarray) -> List[Optional[int]]:
+    """Detection times of a contiguous block of runs, in run-id order."""
+    if ctx.redraw is not None:
+        return [_redrawn_detection_time(ctx, int(run_id)) for run_id in run_ids]
+    return _lockstep_detection_times(ctx.config, ctx.model, ctx.cap, ctx.master_seed, run_ids)
 
 
 def _detection_times(
@@ -194,17 +268,19 @@ def _detection_times(
         reference = ReferenceSet(
             streams.draw_reference(reference_spec, reference_size, master_seed, 0)
         )
-    config = detector_mod.DetectorConfig(
-        reference, schedule, schedule.w, statistic, summary, kernel
-    )
+    config = DetectorConfig(reference, schedule, schedule.w, statistic, summary, kernel)
     check_stream(model, config.summary)
-    run = functools.partial(
-        _detection_time, _RunContext(config, model, cap, master_seed, reference_spec)
-    )
+    ctx = _RunContext(config, model, cap, master_seed, reference_spec)
+    # contiguous blocks of run ids, at least one per worker
+    n_blocks = min(n_runs, max(workers, -(-n_runs // _RUN_BLOCK)))
+    blocks = np.array_split(np.arange(n_runs), n_blocks)
+    run = functools.partial(_block_detection_times, ctx)
     if workers <= 1:
-        return [run(run_id) for run_id in range(n_runs)]
-    with multiprocessing.Pool(processes=workers) as pool:
-        return pool.map(run, range(n_runs), chunksize=max(1, n_runs // (workers * 8)))
+        parts = map(run, blocks)
+    else:
+        with multiprocessing.Pool(processes=workers) as pool:
+            parts = pool.map(run, blocks)
+    return [t for part in parts for t in part]
 
 
 def estimate_arl0(

@@ -1,8 +1,11 @@
 """Summary statistics projecting raw instances into summary space.
 
 The detector never sees raw features directly; every instance is pushed
-through one of these projections first.  Models and losses are injected as
-black-box callables and must be side-effect free.
+through one of these projections first.  :func:`apply_summary_rows`
+projects a block of instances at once (the Monte Carlo harness summarises
+whole stream blocks), and :func:`apply_summary` is its one-row case, so
+both give the same bits.  Models and losses are injected as black-box
+callables and must be side-effect free.
 """
 
 from __future__ import annotations
@@ -61,11 +64,22 @@ def identity(dim: int = 1) -> SummaryStatistic:
 
 
 def apply_summary(stat: SummaryStatistic, x, y=None) -> np.ndarray:
-    """Project one raw instance onto a summary vector of length ``out_dim``.
+    """Project one raw instance onto a summary vector of length ``out_dim``;
+    the one-row case of :func:`apply_summary_rows`."""
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    return apply_summary_rows(stat, x[None], None if y is None else [y])[0]
 
-    ``y`` must be supplied exactly when the kind is ``model_loss``; labels
-    are generally unavailable at detection time, so the other kinds refuse
-    one to catch plumbing mistakes early.
+
+def apply_summary_rows(stat: SummaryStatistic, X, y=None) -> np.ndarray:
+    """Project raw instances, one per row of ``X`` (rows, in_dim), onto
+    summaries of shape (rows, out_dim).
+
+    Each row's summary is the same bits whatever rows share the call: a
+    projection multiplies row by row, and models and losses are called
+    once per row.  ``y`` (one label per row) must be supplied exactly when
+    the kind is ``model_loss``; labels are generally unavailable at
+    detection time, so the other kinds refuse them to catch plumbing
+    mistakes early.
     """
     if stat.kind == "model_loss":
         if y is None:
@@ -73,25 +87,34 @@ def apply_summary(stat: SummaryStatistic, x, y=None) -> np.ndarray:
     elif y is not None:
         raise ValueError(f"summary kind {stat.kind!r} does not accept a label")
 
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"raw instances must be rows of shape (rows, in_dim); got {X.shape}")
     if stat.kind == "identity":
-        out = x
-    elif stat.kind == "model_output":
-        out = np.atleast_1d(np.asarray(stat.model(x), dtype=np.float64))
-    elif stat.kind == "model_loss":
-        out = np.atleast_1d(np.asarray(stat.loss(y, stat.model(x)), dtype=np.float64))
-    else:
-        if x.shape[0] != stat.projection.shape[1]:
+        out = X
+    elif stat.kind == "affine_projection":
+        if X.shape[1] != stat.projection.shape[1]:
             raise ValueError(
-                f"projection expects input dimension {stat.projection.shape[1]}, got {x.shape[0]}"
+                f"projection expects input dimension {stat.projection.shape[1]}, got {X.shape[1]}"
             )
-        out = stat.projection @ x
+        # per-row matrix-vector products: the bits of ``projection @ x``
+        out = np.matmul(stat.projection, X[:, :, None])[:, :, 0]
+    else:
+        if stat.kind == "model_output":
+            outs = [stat.model(x) for x in X]
+        else:
+            outs = [stat.loss(label, stat.model(x)) for x, label in zip(X, y, strict=True)]
+        outs = [np.atleast_1d(np.asarray(o, dtype=np.float64)) for o in outs]
+        bad = [o.shape for o in outs if o.shape != (stat.out_dim,)]
+        if bad:
+            raise ValueError(f"summary produced shape {bad[0]}, declared out_dim {stat.out_dim}")
+        out = np.array(outs).reshape(len(X), stat.out_dim)
 
-    if out.shape != (stat.out_dim,):
+    if out.shape[1:] != (stat.out_dim,):
         raise ValueError(
-            f"summary produced shape {out.shape}, declared out_dim {stat.out_dim}"
+            f"summary produced shape {out.shape[1:]}, declared out_dim {stat.out_dim}"
         )
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ValueError("summary produced non-finite values")
     return out
 

@@ -1,8 +1,10 @@
 """One statistic, three paths: the detector, an N-row engine, the sliding scan.
 
-The detector steps a one-row engine, calibration advances many rows of the
-same engine in lockstep (dropping eliminated rows), and the Monte Carlo
-fast path scans scalar streams with ``sliding_*_stats``.  All three must
+The detector steps a one-row engine; calibration and the Monte Carlo
+harness advance many rows of the same engine in lockstep, dropping rows
+that are eliminated or have fired; and the sliding scan ``sliding_*_stats``
+serves only fixed-threshold Monte Carlo runs that redraw their own
+reference (ks and mean_diff).  All three must
 produce the same bits, and all must match the plain definitions in
 ``seqshift.statistics``.  Calibration pushes reference atoms by index, so
 an engine fed atom indices must also match the same engine fed the atoms'

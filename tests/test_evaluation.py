@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import threading
@@ -12,6 +13,7 @@ from seqshift import (
     DetectorConfig,
     DistributionSpec,
     Kernel,
+    LinearSoftmaxModel,
     ReferenceSet,
     calibrate_schedule,
     draw_reference,
@@ -24,6 +26,7 @@ from seqshift import (
     null_model,
 )
 from seqshift import run as run_detector
+from seqshift.evaluation import _lockstep_detection_times
 from seqshift.summaries import SummaryStatistic, identity, squared_error_loss
 
 
@@ -70,6 +73,25 @@ class TestEstimateArl0:
         )
         assert len(report.runs) == 5
         assert len(checks) == 1
+
+    def test_ks_searches_only_live_runs(self, std_normal, small_reference, monkeypatch):
+        """A run's values are searched in the reference once per step it
+        consumes: rows of runs that have fired are skipped."""
+        searched = []
+        cdf_counts = ReferenceSet.cdf_counts
+
+        def counted(reference, values):
+            searched.append(len(values))
+            return cdf_counts(reference, values)
+
+        monkeypatch.setattr(ReferenceSet, "cdf_counts", counted)
+        w = 10
+        report = estimate_arl0(
+            fixed_threshold(0.5, w=w), null_model(std_normal), n_runs=20, cap=300,
+            master_seed=3, reference=small_reference,
+        )
+        assert 0 < report.censored_count < 20
+        assert sum(searched) == sum(t + w - 1 for _, t, _ in report.runs)
 
     def test_reference_modes_are_exclusive(self, std_normal, small_reference):
         with pytest.raises(ValueError, match="exactly one"):
@@ -137,30 +159,42 @@ class TestEstimateArl0:
                 summary=identity(2), reference=small_reference,
             )
 
+    PLANE = DistributionSpec.gaussian([0.0, 0.0], [1.0, 1.0])
+
     def test_fast_and_stepped_paths_agree(self):
         """Every estimate_* run table equals detector.run on the same streams,
-        for ks, mean_diff and mmd, identity and affine-projected summaries,
-        a shared and a redrawn reference, and one and two workers."""
-        seed, n_runs, cap, tau = 77, 6, 400, 60
-        cases = [  # statistic, window, threshold, out_dim, projection (None: identity)
-            (statistic, w, h, out_dim, projection)
-            for statistic, w, h, out_dim, projections in (
-                ("ks", 20, 0.4, 1, [[0.6, 0.8]]),
-                ("mean_diff", 20, 0.5, 1, [[0.6, 0.8]]),
-                ("mmd", 10, 0.2, 2, [[1.0, 0.5, 0.0], [0.0, 0.8, 0.6]]),
+        for ks, mean_diff and mmd (rbf and linear kernels), identity,
+        affine-projected and model_output summaries, a shared and a redrawn
+        reference, change points inside and after the first 128-step stream
+        block, and one and three workers over seven runs (uneven shards)."""
+        seed, n_runs, cap = 77, 7, 400
+        scalar_model = functools.partial(np.dot, [0.6, 0.8])  # picklable, for workers
+        softmax = LinearSoftmaxModel([[1.0, -0.5, 0.2], [0.3, 0.4, -1.0]], [0.1, -0.1])
+        cases = [  # statistic, window, threshold, kernel, in_dim, summary, reference spec
+            (statistic, w, h, None, in_dim, summary, DistributionSpec.gaussian(0.0, 1.0))
+            for statistic, w, h in (("ks", 20, 0.4), ("mean_diff", 20, 0.5))
+            for in_dim, summary in (
+                (1, None),
+                (2, SummaryStatistic(
+                    kind="affine_projection", out_dim=1, projection=np.array([[0.6, 0.8]])
+                )),
+                (2, SummaryStatistic(kind="model_output", out_dim=1, model=scalar_model)),
             )
-            for projection in (None, projections)
+        ] + [
+            ("mmd", 10, 0.2, Kernel("rbf", 1.0), 2, None, self.PLANE),
+            ("mmd", 10, 0.2, Kernel("rbf", 1.0), 3, SummaryStatistic(
+                kind="affine_projection", out_dim=2,
+                projection=np.array([[1.0, 0.5, 0.0], [0.0, 0.8, 0.6]]),
+            ), self.PLANE),
+            ("mmd", 10, 0.15, Kernel("rbf", 1.0), 3,
+             SummaryStatistic(kind="model_output", out_dim=2, model=softmax),
+             DistributionSpec.gaussian([0.53, 0.47], [0.08, 0.08])),
+            ("mmd", 10, 0.6, Kernel("linear"), 2, None, self.PLANE),
         ]
         outcomes = set()
-        for statistic, w, h, out_dim, projection in cases:
-            in_dim = out_dim if projection is None else len(projection[0])
+        for statistic, w, h, kernel, in_dim, summary, spec in cases:
             pre = DistributionSpec.gaussian([0.0] * in_dim, [1.0] * in_dim)
             post = DistributionSpec.gaussian([-1.0] * in_dim, [1.0] * in_dim)
-            spec = DistributionSpec.gaussian([0.0] * out_dim, [1.0] * out_dim)
-            summary = None if projection is None else SummaryStatistic(
-                kind="affine_projection", out_dim=out_dim, projection=np.array(projection)
-            )
-            kernel = Kernel("rbf", 1.0) if statistic == "mmd" else None
             schedule = fixed_threshold(h, w=w)
             shared = ReferenceSet(draw_reference(spec, 100, master_seed=21))
             for redraw in (False, True):
@@ -170,7 +204,8 @@ class TestEstimateArl0:
                 )
                 for estimate, model in (
                     (estimate_arl0, null_model(pre)),
-                    (estimate_delay, ChangePointModel(pre, post, tau)),
+                    (estimate_delay, ChangePointModel(pre, post, 60)),
+                    (estimate_delay, ChangePointModel(pre, post, 200)),
                 ):
                     times = []
                     for run_id in range(n_runs):
@@ -191,14 +226,40 @@ class TestEstimateArl0:
                         want = [(i, -1 if t is None else t, t is None)
                                 for i, t in enumerate(times)]
                     outcomes.update(t is None for t in times)
-                    for workers in (1, 2):
+                    for workers in (1, 3):
                         report = estimate(
                             schedule, model, n_runs, cap, seed, statistic=statistic,
                             summary=summary, kernel=kernel, workers=workers, **ref_kwargs,
                         )
-                        case = (statistic, projection, redraw, estimate.__name__, workers)
+                        case = (statistic, kernel, summary, redraw, model, workers)
                         assert report.runs == want, case
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("statistic, h", [("ks", 0.4), ("mean_diff", 0.5), ("mmd", 0.1)])
+    def test_lockstep_times_do_not_depend_on_run_block(self, statistic, h):
+        """Runs give the same detection times in engines of 1, 3 or all 7 rows."""
+        mmd = statistic == "mmd"
+        spec = self.PLANE if mmd else DistributionSpec.gaussian(0.0, 1.0)
+        config = DetectorConfig(
+            reference=ReferenceSet(draw_reference(spec, 200, master_seed=5)),
+            schedule=fixed_threshold(h, w=20),
+            window_size=20,
+            statistic=statistic,
+            kernel=Kernel("rbf", 1.0) if mmd else None,
+        )
+        post = DistributionSpec.gaussian([-0.3] * spec.dim, [1.0] * spec.dim)
+        model = ChangePointModel(spec, post, 150)
+        run_ids = list(range(7))
+        whole = _lockstep_detection_times(config, model, 400, 13, run_ids)
+        # rows leave the engine on both sides of the first 128-step block
+        assert {t is None or t > 128 for t in whole} == {True, False}
+        for size in (1, 3):
+            times = [
+                t
+                for i in range(0, len(run_ids), size)
+                for t in _lockstep_detection_times(config, model, 400, 13, run_ids[i : i + size])
+            ]
+            assert times == whole, size
 
 
 class TestWorkerDeterminism:

@@ -5,6 +5,7 @@ from seqshift.summaries import (
     LinearSoftmaxModel,
     SummaryStatistic,
     apply_summary,
+    apply_summary_rows,
     cross_entropy_loss,
     identity,
     squared_error_loss,
@@ -70,6 +71,47 @@ class TestApplySummary:
         )
         with pytest.raises(ValueError, match="shape"):
             apply_summary(stat, [1.0])
+
+
+class TestApplySummaryRows:
+    @pytest.mark.parametrize("kind", ["identity", "affine_projection", "model_output", "model_loss"])
+    def test_rows_equal_single_samples_bitwise(self, kind, rng):
+        model = LinearSoftmaxModel(rng.normal(size=(3, 4)), rng.normal(size=3))
+        stat = {
+            "identity": identity(4),
+            "affine_projection": SummaryStatistic(
+                kind="affine_projection", out_dim=3, projection=rng.normal(size=(3, 4))
+            ),
+            "model_output": SummaryStatistic(kind="model_output", out_dim=3, model=model),
+            "model_loss": SummaryStatistic(
+                kind="model_loss", out_dim=1, model=model, loss=cross_entropy_loss
+            ),
+        }[kind]
+        X = rng.normal(size=(50, 4))
+        y = rng.integers(3, size=50) if kind == "model_loss" else None
+        rows = apply_summary_rows(stat, X, y)
+        singles = [apply_summary(stat, x, None if y is None else y[i]) for i, x in enumerate(X)]
+        assert rows.shape == (50, stat.out_dim)
+        assert np.array_equal(rows, np.array(singles))
+
+    def test_checks_hold_for_rows(self):
+        loss_stat = SummaryStatistic(
+            kind="model_loss", out_dim=1, model=lambda x: 0.0, loss=squared_error_loss
+        )
+        with pytest.raises(ValueError, match="label"):
+            apply_summary_rows(loss_stat, np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="label"):
+            apply_summary_rows(identity(1), np.zeros((2, 1)), y=[0.0, 1.0])
+        with pytest.raises(ValueError, match="rows"):
+            apply_summary_rows(identity(1), np.zeros(3))
+        with pytest.raises(ValueError, match="shape"):
+            apply_summary_rows(identity(2), np.zeros((3, 1)))
+        flaky = SummaryStatistic(kind="model_output", out_dim=1, model=lambda x: np.inf if x[0] == 0 else x[0])
+        with pytest.raises(ValueError, match="non-finite"):
+            apply_summary_rows(flaky, np.array([[1.0], [0.0]]))
+        ragged = SummaryStatistic(kind="model_output", out_dim=1, model=lambda x: x[: int(x[0])])
+        with pytest.raises(ValueError, match=r"shape \(2,\)"):
+            apply_summary_rows(ragged, np.array([[1.0, 0.0], [2.0, 0.0]]))
 
 
 class TestConstruction:
