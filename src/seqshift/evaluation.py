@@ -21,15 +21,16 @@ from __future__ import annotations
 import functools
 import math
 import multiprocessing
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy import stats as sps
+import scipy  # subpackages via attributes: each loads on first use, not at import
 
 from . import streams
 from .batch import make_batch_engine, sliding_ks_stats, sliding_mean_diff_stats
-from .calibration import ThresholdSchedule
+from .calibration import ThresholdSchedule, _is_a
 from .detector import DetectorConfig
 from .statistics import KS, MEAN_DIFF, Kernel, ReferenceSet
 from .streams import ChangePointModel, DistributionSpec
@@ -393,7 +394,11 @@ def geometric_gof_pvalue(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
+    if not _is_a(n_bins, numbers.Integral) or n_bins < 2:
+        raise ValueError("n_bins must be an integer >= 2")
     run_lengths = np.asarray(run_lengths)
+    if run_lengths.ndim != 1:
+        raise ValueError("run_lengths must be 1-d")
     if run_lengths.size < 10:
         raise ValueError("need at least 10 run lengths")
     if np.any(run_lengths < 1):
@@ -426,5 +431,6 @@ def geometric_gof_pvalue(
     exp = np.append(expected[keep], expected[~keep].sum())
     if exp[-1] == 0.0:
         obs, exp = obs[:-1], exp[:-1]
-    result = sps.chisquare(obs, exp * (obs.sum() / exp.sum()))
-    return float(result.pvalue)
+    exp = exp * (obs.sum() / exp.sum())
+    # Pearson's statistic and its chi-square(k - 1) upper tail, as scipy.stats.chisquare
+    return float(scipy.special.chdtrc(obs.size - 1, ((obs - exp) ** 2 / exp).sum()))

@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
+import scipy  # subpackages via attributes: each loads on first use, not at import
 
 KS = "ks"
 MMD = "mmd"
@@ -59,7 +59,7 @@ class Kernel:
         Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
         if self.kind == "linear":
             return X @ Y.T
-        sq = cdist(X, Y, metric="sqeuclidean")
+        sq = scipy.spatial.distance.cdist(X, Y, metric="sqeuclidean")
         return np.exp(sq / (-2.0 * self.bandwidth**2))
 
     def diag_sum(self, X: np.ndarray) -> float:
@@ -92,7 +92,7 @@ def median_heuristic(reference: "ReferenceSet") -> float:
             f"reference of size {n} too large for the exact median heuristic; "
             "pass an explicit bandwidth"
         )
-    sigma = float(np.median(pdist(reference.values)))
+    sigma = float(np.median(scipy.spatial.distance.pdist(reference.values)))
     if sigma == 0.0:
         raise ValueError(
             "median pairwise distance is zero (too many identical reference "

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
+import scipy  # subpackages via attributes: each loads on first use, not at import
 
 from . import rng
 
@@ -89,7 +89,7 @@ class DistributionSpec:
     def sample_from_uniforms(self, u: np.ndarray) -> np.ndarray:
         """Map per-index uniforms (rows) to samples of shape (count, dim)."""
         if self.family == "gaussian":
-            z = ndtri(u[:, : self.dim])
+            z = scipy.special.ndtri(u[:, : self.dim])
             return self.means[0] + np.sqrt(self.variances[0]) * z
         if self.family == "uniform":
             half = np.sqrt(3.0 * self.variances[0])
@@ -97,7 +97,7 @@ class DistributionSpec:
         # gaussian-mixture: word 0 picks the component, the rest drive the draw
         comp = np.searchsorted(np.cumsum(self.weights), u[:, 0], side="right")
         comp = np.minimum(comp, len(self.weights) - 1)
-        z = ndtri(u[:, 1 : 1 + self.dim])
+        z = scipy.special.ndtri(u[:, 1 : 1 + self.dim])
         return self.means[comp] + np.sqrt(self.variances[comp]) * z
 
 

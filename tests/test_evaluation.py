@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from seqshift import (
     CalibrationTarget,
@@ -384,3 +385,41 @@ class TestGeometricGof:
         for alpha in (0.0, 1.0, -0.1):
             with pytest.raises(ValueError, match="strictly between 0 and 1"):
                 geometric_gof_pvalue(np.arange(1, 101), alpha)
+        for n_bins in (1, 0, -3, 2.0, True):
+            with pytest.raises(ValueError, match="n_bins must be an integer >= 2"):
+                geometric_gof_pvalue(np.arange(1, 101), 0.05, n_bins)
+        with pytest.raises(ValueError, match="run_lengths must be 1-d"):
+            geometric_gof_pvalue(np.arange(1, 101).reshape(10, 10), 0.05)
+
+    def test_pvalue_matches_scipy_chisquare_bitwise(self):
+        """The p-value is scipy.stats.chisquare's on the same binned counts."""
+        for seed in range(8):
+            gen = np.random.default_rng(seed)
+            for alpha in (0.01, 0.05, 0.2):
+                for hazard in (alpha, 1.2 * alpha):
+                    samples = gen.geometric(hazard, size=int(gen.integers(60, 2000)))
+                    for n_bins in (2, 5, 20, 40):
+                        obs, exp = _gof_bins(samples, alpha, n_bins)
+                        expected = float(sps.chisquare(obs, exp).pvalue)
+                        assert geometric_gof_pvalue(samples, alpha, n_bins) == expected
+
+
+def _gof_bins(run_lengths, alpha, n_bins):
+    """Observed and (sum-matched) expected counts over geometric_gof_pvalue's
+    bins, computed independently of it: equal-probability edges, bins with
+    expected count below 5 pooled into one, an empty pool dropped."""
+    edges = np.unique([
+        math.ceil(math.log1p(-i / n_bins) / math.log1p(-alpha)) for i in range(1, n_bins)
+    ]).astype(np.float64)
+    observed = np.bincount(
+        np.searchsorted(edges, run_lengths, side="left"), minlength=edges.size + 1
+    ).astype(np.float64)
+    survival = (1.0 - alpha) ** edges
+    probs = -np.diff(np.concatenate(([1.0], survival, [0.0])))
+    expected = probs * run_lengths.size
+    keep = expected >= 5.0
+    obs = np.append(observed[keep], observed[~keep].sum())
+    exp = np.append(expected[keep], expected[~keep].sum())
+    if exp[-1] == 0.0:
+        obs, exp = obs[:-1], exp[:-1]
+    return obs, exp * (obs.sum() / exp.sum())
