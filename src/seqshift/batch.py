@@ -18,7 +18,10 @@ as ``push_column(..., atoms=idx)`` and the engines gather the reference's
 per-atom tables (KS CDF counts, MMD cross sums), built once per reference
 and kernel (rbf cross sums in the self-sum's pass) by the very expression
 the value path applies to a point, so both paths give the same bits.  The
-engines keep only per-stream state; the detector pushes points.
+engines keep only per-stream state; the detector pushes points.  KS state
+is ``[right, -left]`` CDF counts per row, so one sort per block of rows
+gives both halves of the statistic, bit for bit the plain definition
+(:func:`ks_stats_from_count_rows` gives the argument).
 
 :func:`check_statistic` is the one statement of each statistic's rules;
 the engines, the detector, calibration, the Monte Carlo harness and the
@@ -27,11 +30,14 @@ CLI call it rather than restate them.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 import numpy as np
 
 from .statistics import KS, MMD, STATISTIC_KINDS, Kernel, ReferenceSet, _WindowRing
+
+_KS_BLOCK = 256  # rows per block of the KS kernel; bounds its float temporaries
 
 
 def check_statistic(statistic: str, dim: int, w: int, kernel: Optional[Kernel]) -> None:
@@ -52,22 +58,32 @@ def check_statistic(statistic: str, dim: int, w: int, kernel: Optional[Kernel]) 
         raise ValueError(f"{statistic} takes no kernel")
 
 
-def ks_stats_from_count_rows(
-    left_rows: np.ndarray, right_rows: np.ndarray, n: int, w: int
-) -> np.ndarray:
-    """KS distance per row from unordered per-element reference CDF counts.
+@functools.lru_cache(maxsize=32)
+def _ks_steps(w: int) -> np.ndarray:
+    i = np.arange(1, w + 1, dtype=np.float64)
+    steps = np.stack((i / w, (i - w) / w))  # -((w - i)/w), but +0.0 rather than -0.0 at i = w
+    steps.flags.writeable = False  # cached and shared
+    return steps
 
-    The reference counts are non-decreasing functions of the value, so
-    sorting a window's counts as integers recovers them in value order (a
-    sort of the values themselves is never needed); the per-element
-    expressions mirror the plain ``statistics._ks_from_counts`` bitwise.
+
+def ks_stats_from_count_rows(counts: np.ndarray, n: int, w: int) -> np.ndarray:
+    """KS distance per row of (rows, 2, w) ``[right, -left]`` reference CDF counts.
+
+    Counts grow with the value, so an integer sort puts them in value
+    order.  Per block of ``_KS_BLOCK`` rows this is one sort, one divide,
+    one in-place subtraction from the steps ``[i/w ; (i - w)/w]`` and one
+    max, and it equals the oracle ``statistics._ks_from_counts`` bit for
+    bit: the right half is its d+ expression; sorting -L ascending lists L
+    descending, so entry j pairs with rank i = w + 1 - j and holds
+    ``-(i - 1)/w - (-L/n)``, which IEEE rounds exactly as the d- term
+    ``L/n - (i - 1)/w``; a max is exact.
     """
-    left_sorted = np.sort(left_rows, axis=1)
-    right_sorted = np.sort(right_rows, axis=1)
-    ranks = np.arange(1, w + 1, dtype=np.float64)
-    d_plus = np.max(ranks / w - right_sorted / n, axis=1)
-    d_minus = np.max(left_sorted / n - (ranks - 1.0) / w, axis=1)
-    return np.maximum(d_plus, d_minus)
+    out = np.empty(counts.shape[0], dtype=np.float64)
+    for lo in range(0, counts.shape[0], _KS_BLOCK):
+        t = np.sort(counts[lo : lo + _KS_BLOCK], axis=-1) / n
+        np.subtract(_ks_steps(w), t, out=t)
+        t.max(axis=(1, 2), out=out[lo : lo + _KS_BLOCK])
+    return out
 
 
 def sliding_ks_stats(buf: np.ndarray, reference: ReferenceSet, w: int) -> np.ndarray:
@@ -77,9 +93,8 @@ def sliding_ks_stats(buf: np.ndarray, reference: ReferenceSet, w: int) -> np.nda
     the result has one statistic per new value.
     """
     left, right = reference.cdf_counts(buf)
-    left_rows = np.lib.stride_tricks.sliding_window_view(left, w)
-    right_rows = np.lib.stride_tricks.sliding_window_view(right, w)
-    return ks_stats_from_count_rows(left_rows, right_rows, reference.n, w)
+    windows = np.lib.stride_tricks.sliding_window_view(np.stack((right, -left)), w, axis=1)
+    return ks_stats_from_count_rows(windows.swapaxes(0, 1), reference.n, w)
 
 
 def sliding_mean_diff_stats(
@@ -95,14 +110,15 @@ class BatchKsEngine(_WindowRing):
 
     Stores each element's reference CDF counts rather than its value: one
     binary search per arriving value, or a gather from the reference's
-    per-atom counts for reference atoms; integer sorts per statistic.
+    per-atom counts for reference atoms.  One int32 array (rows, 2, w) holds
+    right counts in ``[:, 0]`` and negated left counts in ``[:, 1]``, the
+    layout :func:`ks_stats_from_count_rows` sorts in one call.
     """
 
     def __init__(self, reference: ReferenceSet, w: int, n_streams: int):
         super().__init__(w)
         self.reference = reference
-        self._left = np.zeros((n_streams, w), dtype=np.int32)
-        self._right = np.zeros((n_streams, w), dtype=np.int32)
+        self._counts = np.zeros((n_streams, 2, w), dtype=np.int32)
 
     def push_column(
         self, col: np.ndarray, active: Optional[np.ndarray], atoms: Optional[np.ndarray] = None
@@ -119,14 +135,12 @@ class BatchKsEngine(_WindowRing):
             rows = slice(None)
             left, right = (counts[atoms] for counts in self.reference.atom_counts)
         slot = self._next_slot()
-        self._left[rows, slot] = left
-        self._right[rows, slot] = right
+        self._counts[rows, 0, slot] = right
+        self._counts[rows, 1, slot] = -left
 
     def statistics(self, active: np.ndarray) -> np.ndarray:
         self._require_full()
-        return ks_stats_from_count_rows(
-            self._left[active], self._right[active], self.reference.n, self.w
-        )
+        return ks_stats_from_count_rows(self._counts[active], self.reference.n, self.w)
 
 
 class BatchMeanDiffEngine(_WindowRing):

@@ -401,6 +401,10 @@ def geometric_gof_pvalue(
         raise ValueError("run_lengths must be 1-d")
     if run_lengths.size < 10:
         raise ValueError("need at least 10 run lengths")
+    if not np.all(np.isfinite(run_lengths)):
+        raise ValueError("run lengths must be finite")
+    if np.any(run_lengths != np.floor(run_lengths)):
+        raise ValueError("run lengths must be integers")
     if np.any(run_lengths < 1):
         raise ValueError("run lengths must be >= 1")
     edges = []

@@ -390,6 +390,16 @@ class TestGeometricGof:
                 geometric_gof_pvalue(np.arange(1, 101), 0.05, n_bins)
         with pytest.raises(ValueError, match="run_lengths must be 1-d"):
             geometric_gof_pvalue(np.arange(1, 101).reshape(10, 10), 0.05)
+        draws = np.random.default_rng(2).geometric(0.02, size=2000).astype(np.float64)
+        with_nan = draws.copy()
+        with_nan[:500] = np.nan
+        for bad in (with_nan, np.append(draws, np.inf), np.append(draws, -np.inf)):
+            with pytest.raises(ValueError, match="run lengths must be finite"):
+                geometric_gof_pvalue(bad, 0.02)
+        for bad in (np.append(draws, 1.5), np.append(draws, 0.5)):
+            with pytest.raises(ValueError, match="run lengths must be integers"):
+                geometric_gof_pvalue(bad, 0.02)
+        assert geometric_gof_pvalue(draws, 0.02) == geometric_gof_pvalue(draws.astype(int), 0.02)
 
     def test_pvalue_matches_scipy_chisquare_bitwise(self):
         """The p-value is scipy.stats.chisquare's on the same binned counts."""

@@ -3,12 +3,16 @@
 Each case is a small ``calibrate_schedule`` run whose ``to_json()`` output
 is stored under ``tests/data/``.  A change to the engines, the bootstrap
 draws or the quantile rule that moves any threshold bit fails here.
-Regenerate the files (only for a deliberate, documented behaviour change)
-with ``PYTHONPATH=src python tests/test_golden_schedules.py``.
+The ``ks_ties`` case rounds its reference to one decimal, so reference
+atoms tie (left and right CDF counts differ by more than one), and runs
+more streams than the KS kernel's block of rows.  Regenerate the files
+(only for a deliberate, documented behaviour change) with
+``PYTHONPATH=src python tests/test_golden_schedules.py``.
 """
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from seqshift import (
@@ -26,18 +30,23 @@ DATA = Path(__file__).resolve().parent / "data"
 SCALAR = DistributionSpec.gaussian(0.0, 1.0)
 PLANE = DistributionSpec.gaussian([0.0, 0.0], [1.0, 2.0])
 
-# name -> (reference distribution, n, w, alpha, t_max, n_streams, statistic, kernel kind)
+# name -> (reference distribution, n, w, alpha, t_max, n_streams, statistic,
+#          kernel kind, decimals the reference is rounded to)
 CASES = {
-    "ks": (SCALAR, 200, 20, 0.05, 40, 400, "ks", None),
-    "mean_diff": (SCALAR, 200, 20, 0.05, 40, 400, "mean_diff", None),
-    "mmd_rbf": (PLANE, 120, 10, 0.05, 25, 300, "mmd", "rbf"),
-    "mmd_linear": (PLANE, 120, 10, 0.05, 25, 300, "mmd", "linear"),
+    "ks": (SCALAR, 200, 20, 0.05, 40, 400, "ks", None, None),
+    "ks_ties": (SCALAR, 200, 20, 0.05, 40, 600, "ks", None, 1),
+    "mean_diff": (SCALAR, 200, 20, 0.05, 40, 400, "mean_diff", None, None),
+    "mmd_rbf": (PLANE, 120, 10, 0.05, 25, 300, "mmd", "rbf", None),
+    "mmd_linear": (PLANE, 120, 10, 0.05, 25, 300, "mmd", "linear", None),
 }
 
 
 def golden_json(name: str) -> str:
-    dist, n, w, alpha, t_max, n_streams, statistic, kind = CASES[name]
-    reference = ReferenceSet(draw_reference(dist, n, master_seed=7, stream_id=0))
+    dist, n, w, alpha, t_max, n_streams, statistic, kind, decimals = CASES[name]
+    values = draw_reference(dist, n, master_seed=7, stream_id=0)
+    if decimals is not None:
+        values = np.round(values, decimals)
+    reference = ReferenceSet(values)
     kernel = None
     if kind == "rbf":
         kernel = Kernel("rbf", bandwidth=median_heuristic(reference))
