@@ -17,8 +17,12 @@ Calibration only ever pushes reference atoms, so it passes their indices
 as ``push_column(..., atoms=idx)`` and the engines gather the reference's
 per-atom tables (KS CDF counts, MMD cross sums), built once per reference
 and kernel (rbf cross sums in the self-sum's pass) by the very expression
-the value path applies to a point, so both paths give the same bits.  The
-engines keep only per-stream state; the detector pushes points.  KS state
+the value path applies to a point, so both paths give the same bits.  An
+atom-fed MMD engine also gathers its window self-sum terms, O(w) per row
+and step, from an n x n atom-pair kernel table that it builds with
+``Kernel.rowwise`` (the value path's expression) and drops with itself;
+above ``_ATOM_TABLE_MAX_BYTES`` it evaluates ``rowwise`` as the detector
+does.  The detector pushes points.  KS state
 is ``[right, -left]`` CDF counts per row, so one sort per block of rows
 gives both halves of the statistic, bit for bit the plain definition
 (:func:`ks_stats_from_count_rows` gives the argument).
@@ -38,6 +42,10 @@ import numpy as np
 from .statistics import KS, MMD, STATISTIC_KINDS, Kernel, ReferenceSet, _WindowRing
 
 _KS_BLOCK = 256  # rows per block of the KS kernel; bounds its float temporaries
+# An atom-pair kernel table holds 8 n^2 bytes; 64 MiB admits n <= 2896
+# (8 * 2896^2 = 67,094,528 bytes), so a 30k reference never allocates 7.2 GB.
+_ATOM_TABLE_MAX_BYTES = 64 * 2**20
+_TABLE_BLOCK_VALUES = 2**18  # floats per rowwise temporary (2 MiB) in a table build
 
 
 def check_statistic(statistic: str, dim: int, w: int, kernel: Optional[Kernel]) -> None:
@@ -93,7 +101,8 @@ def sliding_ks_stats(buf: np.ndarray, reference: ReferenceSet, w: int) -> np.nda
     the result has one statistic per new value.
     """
     left, right = reference.cdf_counts(buf)
-    windows = np.lib.stride_tricks.sliding_window_view(np.stack((right, -left)), w, axis=1)
+    counts = np.stack((right, -left), dtype=np.int32)  # int32 sorts faster than intp
+    windows = np.lib.stride_tricks.sliding_window_view(counts, w, axis=1)
     return ks_stats_from_count_rows(windows.swapaxes(0, 1), reference.n, w)
 
 
@@ -171,6 +180,26 @@ class BatchMeanDiffEngine(_WindowRing):
         return self.reference.scalar_mean - sums / self.w
 
 
+def atom_pair_table(reference: ReferenceSet, kernel: Kernel) -> Optional[np.ndarray]:
+    """k(x_i, x_j) for every pair of reference atoms -> (n, n), or None when
+    its 8 n^2 bytes exceed ``_ATOM_TABLE_MAX_BYTES``.
+
+    Row i is ``kernel.rowwise(x_i, atoms)``, blocks of rows at a time: the
+    expression :class:`BatchMmdEngine` applies to a pushed point, so every
+    entry has the bits the value path computes (``Kernel.matrix`` rounds
+    differently at d >= 8).
+    """
+    n = reference.n
+    if 8 * n * n > _ATOM_TABLE_MAX_BYTES:
+        return None
+    atoms = reference.values
+    table = np.empty((n, n), dtype=np.float64)
+    block = max(1, _TABLE_BLOCK_VALUES // (n * reference.dim))
+    for lo in range(0, n, block):
+        table[lo : lo + block] = kernel.rowwise(atoms[lo : lo + block], atoms[None])
+    return table
+
+
 class BatchMmdEngine(_WindowRing):
     """Lockstep sliding windows for many streams, unbiased squared MMD.
 
@@ -179,9 +208,14 @@ class BatchMmdEngine(_WindowRing):
     O(w) when the arrivals are reference atoms, whose cross sums are
     gathered from the reference's per-atom table); each slot's reference
     cross sum is stored, so an eviction subtracts it without re-evaluating
-    the kernel.  The reference self-sum is shared by all streams.  Sums are
-    rebuilt from the buffers every ``_REFRESH_EVERY`` pushes to bound float
-    drift.
+    the kernel.  An engine whose first push is atoms builds
+    :func:`atom_pair_table` and keeps each slot's atom index, so the
+    arrival's and the evicted point's kernel values against the kept slots
+    are O(w) gathers rather than exp evaluations; above the table's size
+    bound, or once a push brings points without indices, it evaluates
+    ``Kernel.rowwise`` on the stored points, which gives the same bits.
+    The reference self-sum is shared by all streams.  Sums are rebuilt
+    from the buffers every ``_REFRESH_EVERY`` pushes to bound float drift.
     """
 
     _REFRESH_EVERY = 10_000
@@ -196,6 +230,9 @@ class BatchMmdEngine(_WindowRing):
         self._c_sums = np.zeros(n_streams, dtype=np.float64)
         self._pushes_since_refresh = 0
         self._a_sum = reference.kernel_self_sum(kernel)
+        # the atom-pair kernel table and each slot's atom index, while every slot has one
+        self._atom_table: Optional[np.ndarray] = None
+        self._slot_atoms: Optional[np.ndarray] = None
 
     def push_column(
         self, col: np.ndarray, active: Optional[np.ndarray], atoms: Optional[np.ndarray] = None
@@ -206,22 +243,37 @@ class BatchMmdEngine(_WindowRing):
         rows = slice(None) if active is None else active
         if atoms is None:
             cross = self.reference.cross_sums(col[rows], self.kernel)
+            self._atom_table = self._slot_atoms = None  # this slot has no atom index
         else:
             cross = self.reference.atom_cross(self.kernel)[atoms[rows]]
+            if self._size == 0:
+                self._atom_table = atom_pair_table(self.reference, self.kernel)
+                if self._atom_table is not None:
+                    self._slot_atoms = np.empty(self._slot_cross.shape, dtype=np.intp)
+        table = self._atom_table
         evicting = self.is_full
         slot = self._next_slot()
         if evicting:
             keep = np.arange(self.w - 1)
             keep[slot:] += 1  # every slot but the evicted one, in slot order
-            old = self._buffer[rows, slot]
-            # one gather of the live rows' kept slots
-            others = self._buffer[rows if active is None else rows[:, None], keep]
-            k_old = self.kernel.rowwise(old, others)
+            kept = (rows if active is None else rows[:, None], keep)  # one gather of the live rows
+        else:
+            kept = (rows, slice(0, slot))  # empty on the first push: adds 0.0
+        if table is None:
+            others = self._buffer[kept]
+            k_new = self.kernel.rowwise(col[rows], others)
+            if evicting:
+                k_old = self.kernel.rowwise(self._buffer[rows, slot], others)
+        else:
+            others = self._slot_atoms[kept]  # the kept slots' atoms: table columns
+            n = self.reference.n  # take() reads the flat table: row * n + column
+            k_new = table.take(atoms[rows][:, None] * n + others)
+            if evicting:
+                k_old = table.take(self._slot_atoms[rows, slot][:, None] * n + others)
+            self._slot_atoms[:, slot] = atoms
+        if evicting:
             self._b_sums[rows] -= 2.0 * k_old.sum(axis=1)
             self._c_sums[rows] -= self._slot_cross[rows, slot]
-        else:
-            others = self._buffer[rows, :slot]  # empty on the first push: adds 0.0
-        k_new = self.kernel.rowwise(col[rows], others)
         self._b_sums[rows] += 2.0 * k_new.sum(axis=1)
         self._c_sums[rows] += cross
         self._slot_cross[rows, slot] = cross

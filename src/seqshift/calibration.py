@@ -306,7 +306,12 @@ def calibrate_schedule(
     atom indices and gathers the reference's per-atom tables (KS CDF
     counts, MMD cross sums, built once per reference and kernel, the MMD
     ones in the self-sum's kernel pass) instead of evaluating each point
-    against the whole reference at every step.
+    against the whole reference at every step.  The MMD engine also
+    gathers each window's self-sum terms from an n x n atom-pair kernel
+    table that it builds per call with ``Kernel.rowwise``, and frees with
+    itself, for references of up to 2896 atoms (64 MiB); larger ones
+    evaluate the kernel per pushed point, as the detector does.  Either
+    way the schedule has the same bytes.
 
     Raises if the surviving-stream count falls (or is bound to fall) below
     ``min_survivors`` before ``t_max``; the message carries the sizing

@@ -126,15 +126,17 @@ class ReferenceSet:
         self._kernel_sums: dict[Kernel, tuple[float, np.ndarray]] = {}
 
     def cdf_counts(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Left and right reference CDF counts of each scalar value (int32)."""
-        left = np.searchsorted(self.sorted_values, values, side="left").astype(np.int32)
-        right = np.searchsorted(self.sorted_values, values, side="right").astype(np.int32)
-        return left, right
+        """Left and right reference CDF counts of each scalar value (intp;
+        callers that sort counts store them as int32)."""
+        return (
+            self.sorted_values.searchsorted(values, side="left"),
+            self.sorted_values.searchsorted(values, side="right"),
+        )
 
     @cached_property
     def atom_counts(self) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`cdf_counts` of every reference atom, in stored order."""
-        return self.cdf_counts(self.values[:, 0])
+        """:meth:`cdf_counts` of every reference atom, in stored order (int32)."""
+        return tuple(c.astype(np.int32) for c in self.cdf_counts(self.values[:, 0]))
 
     def cross_sums(self, points: np.ndarray, kernel: Kernel) -> np.ndarray:
         """sum_i k(p, x_i) over the reference for each point p -> (rows,).
