@@ -22,10 +22,13 @@ atom-fed MMD engine also gathers its window self-sum terms, O(w) per row
 and step, from an n x n atom-pair kernel table that it builds with
 ``Kernel.rowwise`` (the value path's expression) and drops with itself;
 above ``_ATOM_TABLE_MAX_BYTES`` it evaluates ``rowwise`` as the detector
-does.  The detector pushes points.  KS state
-is ``[right, -left]`` CDF counts per row, so one sort per block of rows
-gives both halves of the statistic, bit for bit the plain definition
-(:func:`ks_stats_from_count_rows` gives the argument).
+does.  The detector pushes points, and the engine it steps is its only
+copy of the window: each engine's ``values(row)`` returns a row's window
+contents, which a KS engine keeps only while every push brings values, so
+calibration allocates no value ring.  KS state is ``[right, -left]`` CDF
+counts per row, so one sort per block of rows gives both halves of the
+statistic, bit for bit the plain definition (:func:`ks_stats_from_count_rows`
+gives the argument).
 
 :func:`check_statistic` is the one statement of each statistic's rules;
 the engines, the detector, calibration, the Monte Carlo harness and the
@@ -35,6 +38,7 @@ CLI call it rather than restate them.
 from __future__ import annotations
 
 import functools
+import numbers
 from typing import Optional
 
 import numpy as np
@@ -48,13 +52,18 @@ _ATOM_TABLE_MAX_BYTES = 64 * 2**20
 _TABLE_BLOCK_VALUES = 2**18  # floats per rowwise temporary (2 MiB) in a table build
 
 
+def _is_a(value, kind) -> bool:
+    """``isinstance`` that refuses bool, an int subclass but not a number here."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def check_statistic(statistic: str, dim: int, w: int, kernel: Optional[Kernel]) -> None:
     """Raise ValueError unless ``statistic`` can run on ``dim``-dimensional
     summaries in windows of ``w`` with ``kernel``."""
     if statistic not in STATISTIC_KINDS:
         raise ValueError(f"unknown statistic {statistic!r}; expected one of {list(STATISTIC_KINDS)}")
-    if w < 1:
-        raise ValueError("window size must be >= 1")
+    if not _is_a(w, numbers.Integral) or w < 1:
+        raise ValueError(f"window size must be an integer >= 1, got {w!r}")
     if statistic == MMD:
         if kernel is None:
             raise ValueError("the MMD statistic requires a kernel")
@@ -128,6 +137,7 @@ class BatchKsEngine(_WindowRing):
         super().__init__(w)
         self.reference = reference
         self._counts = np.zeros((n_streams, 2, w), dtype=np.int32)
+        self._values: Optional[np.ndarray] = None  # (w, n_streams), while every push is values
 
     def push_column(
         self, col: np.ndarray, active: Optional[np.ndarray], atoms: Optional[np.ndarray] = None
@@ -135,21 +145,34 @@ class BatchKsEngine(_WindowRing):
         """Append one value per row; ``atoms``, if given, are the reference
         indices the values were drawn from (``col == reference.values[atoms]``).
         Values are searched only for ``active`` rows; the others keep stale
-        counts in this slot, garbage that is never read again."""
+        counts in this slot, garbage that is never read again.  An engine
+        whose first push is values also keeps them for :meth:`values`; a
+        push of atoms drops them, so calibration allocates no value ring."""
         if atoms is None:
             rows = slice(None) if active is None else active
             col = np.asarray(col, dtype=np.float64).reshape(-1)
             left, right = self.reference.cdf_counts(col[rows])
+            if self._size == 0:
+                self._values = np.zeros((self.w, col.shape[0]), dtype=np.float64)
         else:
             rows = slice(None)
             left, right = (counts[atoms] for counts in self.reference.atom_counts)
+            self._values = None
         slot = self._next_slot()
         self._counts[rows, 0, slot] = right
         self._counts[rows, 1, slot] = -left
+        if self._values is not None:
+            self._values[slot] = col  # a contiguous row: cheap at thousands of rows
 
     def statistics(self, active: np.ndarray) -> np.ndarray:
         self._require_full()
         return ks_stats_from_count_rows(self._counts[active], self.reference.n, self.w)
+
+    def values(self, row: int = 0) -> np.ndarray:
+        """Row ``row``'s window contents in arrival order, (size, 1), a copy."""
+        if self._values is None:
+            raise RuntimeError("an engine fed reference atoms keeps no values")
+        return self._in_arrival_order(self._values[:, row])[:, None]
 
 
 class BatchMeanDiffEngine(_WindowRing):
@@ -178,6 +201,10 @@ class BatchMeanDiffEngine(_WindowRing):
         self._require_full()
         sums = self._buffer[active, self._head : self._head + self.w].sum(axis=1)
         return self.reference.scalar_mean - sums / self.w
+
+    def values(self, row: int = 0) -> np.ndarray:
+        """Row ``row``'s window contents in arrival order, (size, 1), a copy."""
+        return self._buffer[row, self._head : self._head + self._size, None].copy()
 
 
 def atom_pair_table(reference: ReferenceSet, kernel: Kernel) -> Optional[np.ndarray]:
@@ -300,6 +327,10 @@ class BatchMmdEngine(_WindowRing):
             + self._b_sums[active] / (w * (w - 1))
             - 2.0 * self._c_sums[active] / (n * w)
         )
+
+    def values(self, row: int = 0) -> np.ndarray:
+        """Row ``row``'s window contents in arrival order, (size, dim), a copy."""
+        return self._in_arrival_order(self._buffer[row])
 
 
 def make_batch_engine(

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng
-from .batch import check_statistic, make_batch_engine
+from .batch import _is_a, check_statistic, make_batch_engine
 from .statistics import KS, MMD, Kernel, ReferenceSet, _ks_from_counts
 
 FIXED = "fixed"
@@ -35,11 +35,6 @@ TIME_VARYING = "time_varying"
 DEFAULT_MIN_SURVIVORS = 100
 
 _SCHEDULE_KEYS = {"kind", "w", "T_max", "alpha", "values", "fixed_h", "meta"}
-
-
-def _is_a(value, kind) -> bool:
-    """``isinstance`` that refuses bool, an int subclass but not a number here."""
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

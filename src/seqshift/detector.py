@@ -1,21 +1,19 @@
 """The sequential detector: window update, summary projection, statistic,
 threshold comparison.
 
-Each arriving instance is summarised, pushed into the sliding window, and
--- once the window is full -- the configured two-sample statistic against
-the reference is compared to the threshold schedule.  The statistic comes
-from a one-row lockstep engine (:func:`seqshift.batch.make_batch_engine`),
-the engine calibration runs, so the deployed detector computes exactly
-what calibration ranked.  Detection is a halt state: a detector that has
-fired refuses further steps.
+Each arriving instance is summarised and pushed into a one-row lockstep
+engine (:func:`seqshift.batch.make_batch_engine`), the engine calibration
+runs; once its window is full, the configured two-sample statistic against
+the reference is compared to the threshold schedule, so the deployed
+detector computes exactly what calibration ranked.  The engine is the only
+copy of the window: ``Detector.window.values()`` reads its contents.
+Detection is a halt state: a detector that has fired refuses further steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
-
-import numpy as np
 
 from .batch import check_statistic, make_batch_engine
 from .calibration import ThresholdSchedule
@@ -95,19 +93,22 @@ def recompute_statistic(config: DetectorConfig, window: SlidingWindow) -> float:
     return mmd2_u(config.reference, window, config.kernel)
 
 
-_ONE_ROW = np.zeros(1, dtype=np.intp)
+_ONE_ROW = slice(0, 1)  # a basic slice: engines read the row as a view, not a gather
 
 
 class Detector:
-    """Single-owner sequential detector state."""
+    """Single-owner sequential detector state.
+
+    ``window`` is the one-row engine that holds the window and computes the
+    statistic; ``window.values()`` gives its contents in arrival order.
+    """
 
     def __init__(self, config: DetectorConfig):
         self.config = config
         self.t = 0
         self.last_statistic: Optional[float] = None
         self.detected_at: Optional[int] = None
-        self.window = SlidingWindow(config.window_size, config.reference.dim)
-        self._engine = make_batch_engine(
+        self.window = make_batch_engine(
             config.statistic, config.reference, config.window_size, 1, config.kernel
         )
 
@@ -121,13 +122,13 @@ class Detector:
             raise RuntimeError(
                 "detector has already fired; adaptation/restart is out of scope"
             )
-        s = self.window.push(apply_summary(self.config.summary, x, y))
-        self._engine.push_column(s[None, :], None)
+        # apply_summary checked the shape and finiteness the engine relies on
+        self.window.push_column(apply_summary(self.config.summary, x, y)[None], None)
         self.t += 1
         threshold = self.config.schedule.threshold_at(self.t)
         if threshold is None:
             return False
-        stat = float(self._engine.statistics(_ONE_ROW)[0])
+        stat = float(self.window.statistics(_ONE_ROW)[0])
         self.last_statistic = stat
         if stat > threshold:
             self.detected_at = self.t

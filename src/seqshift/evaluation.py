@@ -29,8 +29,8 @@ import numpy as np
 import scipy  # subpackages via attributes: each loads on first use, not at import
 
 from . import streams
-from .batch import make_batch_engine, sliding_ks_stats, sliding_mean_diff_stats
-from .calibration import ThresholdSchedule, _is_a
+from .batch import _is_a, make_batch_engine, sliding_ks_stats, sliding_mean_diff_stats
+from .calibration import ThresholdSchedule
 from .detector import DetectorConfig
 from .statistics import KS, MEAN_DIFF, Kernel, ReferenceSet
 from .streams import ChangePointModel, DistributionSpec
@@ -246,6 +246,9 @@ def _detection_times(
 ) -> List[Optional[int]]:
     """Validate one experiment, then each run's detection time (None when
     censored), in run-id order."""
+    for name, value in (("n_runs", n_runs), ("cap", cap), ("workers", workers)):
+        if not _is_a(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     if (reference is None) == (reference_spec is None):

@@ -205,13 +205,18 @@ class _WindowRing:
         if self._size < self.w:
             raise RuntimeError("windows not yet full")
 
+    def _in_arrival_order(self, ring: np.ndarray) -> np.ndarray:
+        """The filled slots of one ring (slots on axis 0), oldest first, as
+        a new array."""
+        return np.concatenate((ring[self._head : self._size], ring[: self._head]))
+
 
 class SlidingWindow(_WindowRing):
     """Ring buffer of the most recent summaries; a validated FIFO.
 
-    Holds contents only: statistics come from the engines in
-    :mod:`seqshift.batch` or, from the contents, from the functions below.
-    Single-owner mutable state: one window per detector run.
+    Only the oracle container for the plain definitions below: the tests
+    and perfbench's ``recompute`` fill one to check what an engine
+    reports.  The detector keeps its window in its engine alone.
     """
 
     def __init__(self, capacity: int, dim: int = 1):
@@ -226,29 +231,21 @@ class SlidingWindow(_WindowRing):
 
     def values(self) -> np.ndarray:
         """Window contents in arrival order, shape (size, dim)."""
-        if not self.is_full:
-            return self._buffer[: self._size].copy()
-        if self._head == 0:
-            return self._buffer.copy()
-        return np.concatenate((self._buffer[self._head :], self._buffer[: self._head]))
+        return self._in_arrival_order(self._buffer)
 
     def scalar_values(self) -> np.ndarray:
         if self.dim != 1:
             raise ValueError("window is not scalar")
         return self.values()[:, 0]
 
-    def push(self, summary) -> np.ndarray:
-        """Append a summary, evicting the oldest when at capacity.
-
-        Returns the summary as stored: a float64 array of shape (dim,).
-        """
+    def push(self, summary) -> None:
+        """Append a summary, evicting the oldest when at capacity."""
         s = np.atleast_1d(np.asarray(summary, dtype=np.float64))
         if s.shape != (self.dim,):
             raise ValueError(f"summary has shape {s.shape}, window holds dimension {self.dim}")
         if not np.isfinite(s).all():
             raise ValueError("summary must be finite")
         self._buffer[self._next_slot()] = s
-        return s
 
 
 def _ks_from_counts(

@@ -66,8 +66,8 @@ def identity(dim: int = 1) -> SummaryStatistic:
 def apply_summary(stat: SummaryStatistic, x, y=None) -> np.ndarray:
     """Project one raw instance onto a summary vector of length ``out_dim``;
     the one-row case of :func:`apply_summary_rows`."""
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    return apply_summary_rows(stat, x[None], None if y is None else [y])[0]
+    X = np.array(x, dtype=np.float64, ndmin=1)[None]  # a scalar is one feature
+    return apply_summary_rows(stat, X, None if y is None else [y])[0]
 
 
 def apply_summary_rows(stat: SummaryStatistic, X, y=None) -> np.ndarray:

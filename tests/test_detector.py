@@ -17,7 +17,7 @@ from seqshift import (
     null_model,
     run,
 )
-from seqshift.batch import BatchMmdEngine
+from seqshift.batch import BatchMmdEngine, make_batch_engine
 from seqshift.detector import recompute_statistic
 from seqshift.statistics import SlidingWindow
 from seqshift.summaries import SummaryStatistic, squared_error_loss
@@ -199,6 +199,57 @@ class TestEquivalence:
                 assert t_high >= t_low
 
 
+class TestWindow:
+    """The detector's engine is its only copy of the window."""
+
+    @staticmethod
+    def detector(statistic, rng):
+        dim = 2 if statistic == "mmd" else 1
+        return Detector(DetectorConfig(
+            reference=ReferenceSet(rng.normal(size=(40, dim))),
+            schedule=fixed_threshold(math.inf, w=3),
+            window_size=3,
+            statistic=statistic,
+            kernel=Kernel("rbf", bandwidth=1.0) if statistic == "mmd" else None,
+        )), dim
+
+    @pytest.mark.parametrize("statistic", ["ks", "mean_diff", "mmd"])
+    def test_values_is_a_copy(self, statistic, rng):
+        """A snapshot survives later steps that overwrite its ring slots,
+        and writing to it leaves the window alone."""
+        detector, dim = self.detector(statistic, rng)
+        stream = rng.normal(size=(8, dim))
+        for x in stream[:5]:
+            detector.step(x)
+        snapshot = detector.window.values()
+        assert np.array_equal(snapshot, stream[2:5])
+        for x in stream[5:]:
+            detector.step(x)
+        assert np.array_equal(snapshot, stream[2:5])
+        snapshot[:] = 99.0
+        assert np.array_equal(detector.window.values(), stream[5:8])
+
+    def test_steps_push_no_sliding_window(self, small_reference, monkeypatch, rng):
+        pushes = []
+        push = SlidingWindow.push
+        monkeypatch.setattr(
+            SlidingWindow, "push", lambda window, s: pushes.append(s) or push(window, s)
+        )
+        detector = Detector(ks_config(small_reference, w=10, h=math.inf))
+        for x in rng.normal(size=50):
+            detector.step(x)
+        assert detector.t == 50
+        assert len(pushes) == 0
+
+    def test_atom_fed_ks_engine_keeps_no_values(self, small_reference):
+        """Calibration pushes atoms and must not allocate a value ring."""
+        atoms = np.arange(4)
+        engine = make_batch_engine("ks", small_reference, 3, 4)
+        engine.push_column(small_reference.values[atoms], None, atoms=atoms)
+        with pytest.raises(RuntimeError, match="atoms"):
+            engine.values()
+
+
 class TestConfigValidation:
     def test_schedule_window_must_match(self, small_reference):
         with pytest.raises(ValueError, match="schedule was built"):
@@ -227,6 +278,23 @@ class TestConfigValidation:
                 window_size=5,
                 statistic="ks",
             )
+
+    @pytest.mark.parametrize("w", [3.0, True, np.float64(3)], ids=["float", "bool", "np-float"])
+    def test_window_must_be_an_integer(self, small_reference, w):
+        with pytest.raises(ValueError, match="window size must be an integer"):
+            DetectorConfig(
+                reference=small_reference,
+                schedule=fixed_threshold(0.2, w=3),
+                window_size=w,
+                statistic="ks",
+            )
+
+    def test_numpy_integer_window_accepted(self, small_reference):
+        config = ks_config(small_reference, w=np.int64(3), h=math.inf)
+        detector = Detector(config)
+        for x in (0.1, 0.2, 0.3):
+            detector.step(x)
+        assert detector.last_statistic is not None
 
     def test_summary_dim_must_match_reference(self, small_reference):
         summary = SummaryStatistic(

@@ -50,11 +50,16 @@ def cases(draw):
 
 
 def detector_sequence(config, stream):
-    """The statistic a detector reports on every test step of ``stream``."""
+    """The statistic a detector reports on every test step of ``stream``;
+    at every step its window holds the oracle window's contents in
+    arrival order."""
     detector = Detector(config)
+    window = SlidingWindow(config.window_size, config.reference.dim)
     out = []
     for x in stream:
         detector.step(x)
+        window.push(x)
+        assert np.array_equal(detector.window.values(), window.values())
         if detector.t >= config.window_size:
             out.append(detector.last_statistic)
     return np.array(out)

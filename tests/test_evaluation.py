@@ -131,6 +131,26 @@ class TestEstimateArl0:
                 summary=summary, reference=small_reference,
             )
 
+    @pytest.mark.parametrize(
+        "estimate, change_point", [(estimate_arl0, math.inf), (estimate_delay, 20)]
+    )
+    @pytest.mark.parametrize(
+        "name, value",
+        [("n_runs", 5.0), ("n_runs", True), ("cap", 100.5), ("cap", 100.0),
+         ("workers", 2.0), ("workers", True)],
+    )
+    def test_counts_must_be_integers(
+        self, estimate, change_point, name, value, std_normal, shifted_normal, small_reference
+    ):
+        counts = dict(n_runs=3, cap=100, workers=1)
+        counts[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            estimate(
+                fixed_threshold(0.5, w=5),
+                ChangePointModel(std_normal, shifted_normal, change_point),
+                master_seed=0, reference=small_reference, **counts,
+            )
+
     def test_lambda_probability(self, std_normal, small_reference):
         report = estimate_arl0(
             fixed_threshold(-1.0, w=5), null_model(std_normal),

@@ -96,3 +96,14 @@ def test_every_consumer_states_the_same_rule(case, consumer, tmp_path, capsys):
     reference = ReferenceSet(draw_reference(spec, 60, master_seed=3, stream_id=0))
     got = CONSUMERS[consumer](statistic, reference, w, kernel, tmp_path, capsys)
     assert got == expected
+
+
+@pytest.mark.parametrize("consumer", ["make_batch_engine", "calibrate_schedule",
+                                      "permutation_threshold"])
+@pytest.mark.parametrize("w", [5.0, True])
+def test_window_must_be_an_integer(w, consumer):
+    expected = _raised(lambda: check_statistic("ks", 1, w, None))
+    assert expected == f"window size must be an integer >= 1, got {w!r}"
+    reference = ReferenceSet(draw_reference(DistributionSpec.gaussian(0.0, 1.0), 60,
+                                            master_seed=3, stream_id=0))
+    assert CONSUMERS[consumer]("ks", reference, w, None) == expected
