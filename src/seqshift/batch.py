@@ -9,9 +9,9 @@ is the one calibration ranked and the harness measured.  Every per-row
 expression is independent of the number of rows, and rows dropped from
 ``active`` cost no per-value work.  The ``sliding_*_stats`` scans repeat
 the KS and mean-difference expressions over a whole scalar stream; the
-harness uses them only for fixed-threshold runs that redraw their own
-reference, each a group of one, so a scanned run and a stepped run of the
-same stream agree bitwise.
+harness scans every ks / mean_diff run that is alone in its group (a run
+on its own redrawn reference, or a lone run), so a scanned run and a
+stepped run of the same stream agree bitwise.
 
 Calibration only ever pushes reference atoms, so it passes their indices
 as ``push_column(..., atoms=idx)`` and the engines gather the reference's
@@ -22,13 +22,13 @@ atom-fed MMD engine also gathers its window self-sum terms, O(w) per row
 and step, from an n x n atom-pair kernel table that it builds with
 ``Kernel.rowwise`` (the value path's expression) and drops with itself;
 above ``_ATOM_TABLE_MAX_BYTES`` it evaluates ``rowwise`` as the detector
-does.  The detector pushes points, and the engine it steps is its only
-copy of the window: each engine's ``values(row)`` returns a row's window
-contents, which a KS engine keeps only while every push brings values, so
-calibration allocates no value ring.  KS state is ``[right, -left]`` CDF
-counts per row, so one sort per block of rows gives both halves of the
-statistic, bit for bit the plain definition (:func:`ks_stats_from_count_rows`
-gives the argument).
+does.  The engine a detector steps is its only copy of the window: each
+engine's ``values()`` returns its first row's window contents, which a KS
+engine keeps only when it has one row, so the many-row engines of
+calibration and the harness allocate no value ring.  KS state is
+``[right, -left]`` CDF counts per row, so one sort per block of rows gives
+both halves of the statistic, bit for bit the plain definition
+(:func:`ks_stats_from_count_rows` gives the argument).
 
 :func:`check_statistic` is the one statement of each statistic's rules;
 the engines, the detector, calibration, the Monte Carlo harness and the
@@ -43,18 +43,13 @@ from typing import Optional
 
 import numpy as np
 
-from .statistics import KS, MMD, STATISTIC_KINDS, Kernel, ReferenceSet, _WindowRing
+from .statistics import KS, MMD, STATISTIC_KINDS, Kernel, ReferenceSet, _is_a, _WindowRing
 
 _KS_BLOCK = 256  # rows per block of the KS kernel; bounds its float temporaries
 # An atom-pair kernel table holds 8 n^2 bytes; 64 MiB admits n <= 2896
 # (8 * 2896^2 = 67,094,528 bytes), so a 30k reference never allocates 7.2 GB.
 _ATOM_TABLE_MAX_BYTES = 64 * 2**20
 _TABLE_BLOCK_VALUES = 2**18  # floats per rowwise temporary (2 MiB) in a table build
-
-
-def _is_a(value, kind) -> bool:
-    """``isinstance`` that refuses bool, an int subclass but not a number here."""
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def check_statistic(statistic: str, dim: int, w: int, kernel: Optional[Kernel]) -> None:
@@ -130,14 +125,15 @@ class BatchKsEngine(_WindowRing):
     binary search per arriving value, or a gather from the reference's
     per-atom counts for reference atoms.  One int32 array (rows, 2, w) holds
     right counts in ``[:, 0]`` and negated left counts in ``[:, 1]``, the
-    layout :func:`ks_stats_from_count_rows` sorts in one call.
+    layout :func:`ks_stats_from_count_rows` sorts in one call.  A one-row
+    engine, the detector's, also keeps its values for :meth:`values`.
     """
 
     def __init__(self, reference: ReferenceSet, w: int, n_streams: int):
         super().__init__(w)
         self.reference = reference
         self._counts = np.zeros((n_streams, 2, w), dtype=np.int32)
-        self._values: Optional[np.ndarray] = None  # (w, n_streams), while every push is values
+        self._values = np.zeros((w, 1), dtype=np.float64) if n_streams == 1 else None
 
     def push_column(
         self, col: np.ndarray, active: Optional[np.ndarray], atoms: Optional[np.ndarray] = None
@@ -145,34 +141,29 @@ class BatchKsEngine(_WindowRing):
         """Append one value per row; ``atoms``, if given, are the reference
         indices the values were drawn from (``col == reference.values[atoms]``).
         Values are searched only for ``active`` rows; the others keep stale
-        counts in this slot, garbage that is never read again.  An engine
-        whose first push is values also keeps them for :meth:`values`; a
-        push of atoms drops them, so calibration allocates no value ring."""
+        counts in this slot, garbage that is never read again."""
+        col = np.asarray(col, dtype=np.float64).reshape(-1)
         if atoms is None:
             rows = slice(None) if active is None else active
-            col = np.asarray(col, dtype=np.float64).reshape(-1)
             left, right = self.reference.cdf_counts(col[rows])
-            if self._size == 0:
-                self._values = np.zeros((self.w, col.shape[0]), dtype=np.float64)
         else:
             rows = slice(None)
             left, right = (counts[atoms] for counts in self.reference.atom_counts)
-            self._values = None
         slot = self._next_slot()
         self._counts[rows, 0, slot] = right
         self._counts[rows, 1, slot] = -left
         if self._values is not None:
-            self._values[slot] = col  # a contiguous row: cheap at thousands of rows
+            self._values[slot] = col
 
     def statistics(self, active: np.ndarray) -> np.ndarray:
         self._require_full()
         return ks_stats_from_count_rows(self._counts[active], self.reference.n, self.w)
 
-    def values(self, row: int = 0) -> np.ndarray:
-        """Row ``row``'s window contents in arrival order, (size, 1), a copy."""
+    def values(self) -> np.ndarray:
+        """The one row's window contents in arrival order, (size, 1), a copy."""
         if self._values is None:
-            raise RuntimeError("an engine fed reference atoms keeps no values")
-        return self._in_arrival_order(self._values[:, row])[:, None]
+            raise RuntimeError("only a one-row KS engine keeps its values")
+        return self._in_arrival_order(self._values)
 
 
 class BatchMeanDiffEngine(_WindowRing):
@@ -202,9 +193,9 @@ class BatchMeanDiffEngine(_WindowRing):
         sums = self._buffer[active, self._head : self._head + self.w].sum(axis=1)
         return self.reference.scalar_mean - sums / self.w
 
-    def values(self, row: int = 0) -> np.ndarray:
-        """Row ``row``'s window contents in arrival order, (size, 1), a copy."""
-        return self._buffer[row, self._head : self._head + self._size, None].copy()
+    def values(self) -> np.ndarray:
+        """Row 0's window contents in arrival order, (size, 1), a copy."""
+        return self._buffer[0, self._head : self._head + self._size, None].copy()
 
 
 def atom_pair_table(reference: ReferenceSet, kernel: Kernel) -> Optional[np.ndarray]:
@@ -328,9 +319,9 @@ class BatchMmdEngine(_WindowRing):
             - 2.0 * self._c_sums[active] / (n * w)
         )
 
-    def values(self, row: int = 0) -> np.ndarray:
-        """Row ``row``'s window contents in arrival order, (size, dim), a copy."""
-        return self._in_arrival_order(self._buffer[row])
+    def values(self) -> np.ndarray:
+        """Row 0's window contents in arrival order, (size, dim), a copy."""
+        return self._in_arrival_order(self._buffer[0])
 
 
 def make_batch_engine(

@@ -23,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from . import rng
-from .batch import _is_a, check_statistic, make_batch_engine
-from .statistics import KS, MMD, Kernel, ReferenceSet, _ks_from_counts
+from .batch import check_statistic, ks_stats_from_count_rows, make_batch_engine
+from .statistics import _MAX_PAIR_ENTRIES, KS, MMD, Kernel, ReferenceSet, _check_count, _is_a
 
 FIXED = "fixed"
 TIME_VARYING = "time_varying"
@@ -178,8 +178,8 @@ def ks_asymptotic_threshold(n: int, w: int, alpha: float) -> ThresholdSchedule:
     sqrt(ln(2 / alpha) / 2): the level the first KS statistic exceeds with
     probability roughly alpha, in the large-sample limit.
     """
-    if n < 1 or w < 1:
-        raise ValueError("n and w must be >= 1")
+    _check_count("n", n, 1)
+    _check_count("w", w, 1)
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
     c = math.sqrt(math.log(2.0 / alpha) / 2.0)
@@ -217,8 +217,11 @@ def permutation_threshold(
     Each permutation splits the reference into a pseudo-window of size w
     and a pseudo-reference of the remaining n - w points and computes the
     statistic between them; the threshold is the ceil((1 - alpha) *
-    n_perm)-th order statistic of those values.  Kernel matrices are
-    computed once and reused across permutations.
+    n_perm)-th order statistic of those values.  KS ranks each split with
+    the engines' kernel, :func:`ks_stats_from_count_rows`.  The MMD kernel
+    matrix is computed once and reused across permutations; a reference
+    whose n x n matrix would exceed 120M entries (n > 10954) is refused
+    before it is built.
     """
     check_statistic(statistic, reference.dim, w, kernel)
     if w >= reference.n:
@@ -226,6 +229,7 @@ def permutation_threshold(
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
     needed = math.ceil(10.0 / alpha)
+    _check_count("n_perm", n_perm, 1)
     if n_perm < needed:
         raise ValueError(
             f"n_perm={n_perm} cannot resolve the alpha={alpha} tail; need >= {needed}"
@@ -236,6 +240,13 @@ def permutation_threshold(
     stats = np.empty(n_perm, dtype=np.float64)
 
     if statistic == MMD:
+        if n * n > _MAX_PAIR_ENTRIES:
+            raise ValueError(
+                f"the permutation null holds the {n} x {n} reference kernel matrix: "
+                f"{n}^2 x 8 bytes = {8 * n * n:,} bytes, above the "
+                f"{8 * _MAX_PAIR_ENTRIES:,}-byte limit; use a reference of at most "
+                f"{math.isqrt(_MAX_PAIR_ENTRIES)} points"
+            )
         K = kernel.matrix(reference.values, reference.values)
         diag = np.diag(K).copy()
         total = float(K.sum())
@@ -261,9 +272,11 @@ def permutation_threshold(
             win = np.sort(scalars[perm[:w]])
             pseudo_ref = np.sort(scalars[perm[w:]])
             if statistic == KS:
-                left = np.searchsorted(pseudo_ref, win, side="left")
-                right = np.searchsorted(pseudo_ref, win, side="right")
-                stats[b] = _ks_from_counts(left, right, n - w, w)
+                counts = np.stack((
+                    pseudo_ref.searchsorted(win, side="right"),
+                    -pseudo_ref.searchsorted(win, side="left"),
+                ), dtype=np.int32)
+                stats[b] = ks_stats_from_count_rows(counts[None], n - w, w)[0]
             else:
                 stats[b] = float(pseudo_ref.mean() - win.mean())
 
@@ -314,8 +327,9 @@ def calibrate_schedule(
     receive the per-step survivor counts (after each elimination).
     """
     check_statistic(statistic, reference.dim, w, kernel)
-    if t_max < w:
-        raise ValueError("t_max must be >= w")
+    _check_count("t_max", t_max, w)
+    _check_count("n_streams", n_streams, 1)
+    _check_count("min_survivors", min_survivors, 1)
     alpha = target.alpha
     needed = required_streams(alpha, w, t_max, min_survivors)
     if n_streams < needed:

@@ -3,17 +3,17 @@
 Runs many independent detectors on synthetic streams and aggregates
 detection times.  Run lengths are counted in test opportunities (a
 detection at the first full-window step counts as 1), the scale on which
-the hazard/run-length targets are stated.  Every run is a row of one
-lockstep engine built from the experiment's one ``DetectorConfig``,
-validated once, the engine a deployed detector steps: blocks of streams
-are drawn and summarised together, each step pushes one column, and rows
-above the threshold drop out, as in calibration.  A redrawn reference
-(fixed thresholds only) makes a run its own one-row group with its own
-config; for ks / mean_diff such a run is a vectorized sliding scan, the
-only use of the scan.  Every run's randomness is derived from (master
-seed, run index), so reports are bitwise independent of how runs are
-grouped and of the worker count.  No module state: concurrent calls
-cannot see each other's references, and runs come back in run-id order.
+the hazard/run-length targets are stated.  Runs form (config, run ids)
+groups: every run on the experiment's one validated ``DetectorConfig``,
+or, when each run redraws its reference (fixed thresholds only), one group
+per run.  A lone ks / mean_diff run is a vectorized sliding scan; any
+other group is the rows of one lockstep engine, the engine a deployed
+detector steps: blocks of streams are drawn and summarised together, each
+step pushes one column, and rows above the threshold drop out, as in
+calibration.  Every run's randomness is derived from (master seed, run
+index), so reports are bitwise independent of how runs are grouped and of
+the worker count.  No module state: concurrent calls cannot see each
+other's references, and runs come back in run-id order.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ import numpy as np
 import scipy  # subpackages via attributes: each loads on first use, not at import
 
 from . import streams
-from .batch import _is_a, make_batch_engine, sliding_ks_stats, sliding_mean_diff_stats
+from .batch import make_batch_engine, sliding_ks_stats, sliding_mean_diff_stats
 from .calibration import ThresholdSchedule
 from .detector import DetectorConfig
-from .statistics import KS, MEAN_DIFF, Kernel, ReferenceSet
+from .statistics import KS, MEAN_DIFF, Kernel, ReferenceSet, _check_count, _is_a
 from .streams import ChangePointModel, DistributionSpec
 from .summaries import SummaryStatistic, apply_summary, apply_summary_rows
 
@@ -100,17 +100,6 @@ def check_sample(sample: np.ndarray, summary: SummaryStatistic) -> None:
         raise ValueError(
             f"{np.size(sample)}-d stream samples do not fit the summary ({exc})"
         ) from None
-
-
-@dataclass(frozen=True)
-class _RunContext:
-    """One Monte Carlo experiment; picklable, so it travels to workers."""
-
-    config: DetectorConfig  # when redrawing, run 0's reference
-    model: ChangePointModel
-    cap: int
-    master_seed: int
-    redraw: Optional[DistributionSpec]  # draw each later run's reference from this
 
 
 # Runs per engine: bounds a block of stream samples at 1024 runs x 1024 steps.
@@ -191,43 +180,50 @@ def _lockstep_detection_times(
     return times
 
 
-def _fast_detection_time(ctx: _RunContext, config: DetectorConfig, run_id: int) -> Optional[int]:
-    """Vectorized sliding-window scan of one scalar-summary run; bitwise
-    equal to the engines."""
-    w = config.window_size
-    scan = sliding_ks_stats if config.statistic == KS else sliding_mean_diff_stats
-
-    def summaries(t, count):
-        return _summary_block(config.summary, ctx.model, t, count, ctx.master_seed, [run_id])[:, 0, 0]
-
-    carry = summaries(1, w - 1) if w > 1 else np.empty(0, dtype=np.float64)
-    for t0, count in _stream_blocks(w, ctx.cap):
-        buf = np.concatenate((carry, summaries(t0, count)))
-        hits = scan(buf, config.reference, w) > config.schedule.thresholds_for_range(t0, count)
-        if np.any(hits):
-            return t0 + int(np.argmax(hits))
-        carry = buf[count:]
-    return None
-
-
-def _redrawn_detection_time(ctx: _RunContext, run_id: int) -> Optional[int]:
-    """One run against its own reference: a sliding scan for ks / mean_diff,
-    else a one-row engine."""
-    config = ctx.config
-    if run_id > 0:
-        config = replace(config, reference=ReferenceSet(streams.draw_reference(
-            ctx.redraw, config.reference.n, ctx.master_seed, run_id
-        )))
-    if config.statistic in (KS, MEAN_DIFF):
-        return _fast_detection_time(ctx, config, run_id)
-    return _lockstep_detection_times(config, ctx.model, ctx.cap, ctx.master_seed, [run_id])[0]
-
-
-def _block_detection_times(ctx: _RunContext, run_ids: np.ndarray) -> List[Optional[int]]:
-    """Detection times of a contiguous block of runs, in run-id order."""
-    if ctx.redraw is not None:
-        return [_redrawn_detection_time(ctx, int(run_id)) for run_id in run_ids]
-    return _lockstep_detection_times(ctx.config, ctx.model, ctx.cap, ctx.master_seed, run_ids)
+def _block_detection_times(
+    config: DetectorConfig,
+    redraw: Optional[DistributionSpec],
+    model: ChangePointModel,
+    cap: int,
+    master_seed: int,
+    run_ids,
+) -> List[Optional[int]]:
+    """Detection times (None when censored) of a contiguous block of runs,
+    in run-id order: one group of every run on ``config``, or, with
+    ``redraw``, one group per run on a reference drawn from it as the group
+    runs (run 0 keeps ``config``).  A lone ks / mean_diff run is a sliding
+    scan, looked up in this module's globals, where a tracer may wrap it;
+    every other group steps the rows of one engine."""
+    if redraw is None:
+        groups = [(config, run_ids)]
+    else:
+        groups = (
+            (config if run_id == 0 else replace(config, reference=ReferenceSet(
+                streams.draw_reference(redraw, config.reference.n, master_seed, run_id)
+            )), [run_id])
+            for run_id in run_ids
+        )
+    times: List[Optional[int]] = []
+    for group, ids in groups:
+        if len(ids) > 1 or group.statistic not in (KS, MEAN_DIFF):
+            times += _lockstep_detection_times(group, model, cap, master_seed, ids)
+            continue
+        w = group.window_size
+        scan = sliding_ks_stats if group.statistic == KS else sliding_mean_diff_stats
+        summaries = functools.partial(
+            _summary_block, group.summary, model, master_seed=master_seed, run_ids=ids
+        )
+        carry = summaries(1, w - 1)[:, 0, 0] if w > 1 else np.empty(0)
+        for t0, count in _stream_blocks(w, cap):
+            buf = np.concatenate((carry, summaries(t0, count)[:, 0, 0]))
+            hits = scan(buf, group.reference, w) > group.schedule.thresholds_for_range(t0, count)
+            if hits.any():
+                times.append(t0 + int(np.argmax(hits)))
+                break
+            carry = buf[count:]
+        else:
+            times.append(None)
+    return times
 
 
 def _detection_times(
@@ -247,15 +243,11 @@ def _detection_times(
     """Validate one experiment, then each run's detection time (None when
     censored), in run-id order."""
     for name, value in (("n_runs", n_runs), ("cap", cap), ("workers", workers)):
-        if not _is_a(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
+        _check_count(name, value, 1)
     if (reference is None) == (reference_spec is None):
         raise ValueError("pass exactly one of reference / reference_spec")
     if reference_spec is not None:
-        if reference_size is None or reference_size < 2:
-            raise ValueError("reference_spec needs reference_size >= 2")
+        _check_count("reference_size", reference_size, 2)
         if schedule.kind != "fixed":
             raise ValueError(
                 "per-run reference redraw only makes sense with fixed thresholds; "
@@ -274,11 +266,10 @@ def _detection_times(
         )
     config = DetectorConfig(reference, schedule, schedule.w, statistic, summary, kernel)
     check_stream(model, config.summary)
-    ctx = _RunContext(config, model, cap, master_seed, reference_spec)
     # contiguous blocks of run ids, at least one per worker
     n_blocks = min(n_runs, max(workers, -(-n_runs // _RUN_BLOCK)))
     blocks = np.array_split(np.arange(n_runs), n_blocks)
-    run = functools.partial(_block_detection_times, ctx)
+    run = functools.partial(_block_detection_times, config, reference_spec, model, cap, master_seed)
     if workers <= 1:
         parts = map(run, blocks)
     else:
@@ -309,6 +300,8 @@ def estimate_arl0(
     """
     if null_model.change_point != math.inf:
         raise ValueError("estimate_arl0 requires a never-changing stream model")
+    if lam is not None:
+        _check_count("lam", lam, 1)
     times = _detection_times(
         schedule, null_model, n_runs, cap, master_seed, statistic, summary, kernel,
         reference, reference_spec, reference_size, workers,

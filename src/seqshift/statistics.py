@@ -15,6 +15,7 @@ per reference and kernel (the rbf atom cross sums in the self-sum's pass).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -27,10 +28,25 @@ MMD = "mmd"
 MEAN_DIFF = "mean_diff"
 STATISTIC_KINDS = (KS, MMD, MEAN_DIFF)
 
-# Exact median of every pairwise distance needs n(n-1)/2 floats in memory.
-_MEDIAN_HEURISTIC_MAX_PAIRS = 120_000_000
+# Float64 entries (960 MB) one all-pairs pass may hold: the exact median
+# heuristic's n(n-1)/2 distances, the MMD permutation null's n x n kernel.
+_MAX_PAIR_ENTRIES = 120_000_000
 
 _KERNEL_BLOCK = 1024  # points per block of kernel rows; bounds peak memory
+
+
+def _is_a(value, kind) -> bool:
+    """``isinstance`` that refuses bool, an int subclass but not a number here."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an integer (bool
+    refused, numpy integers accepted) of at least ``least``."""
+    if not _is_a(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -48,8 +64,10 @@ class Kernel:
         if self.kind not in ("rbf", "linear"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "rbf":
-            if self.bandwidth is None or not 0.0 < self.bandwidth < np.inf:
-                raise ValueError("rbf kernel requires a finite bandwidth > 0")
+            if not (_is_a(self.bandwidth, numbers.Real) and 0.0 < self.bandwidth < np.inf):
+                raise ValueError(
+                    f"rbf kernel requires a finite bandwidth > 0, got {self.bandwidth!r}"
+                )
         elif self.bandwidth is not None:
             raise ValueError(f"{self.kind} kernel takes no bandwidth")
 
@@ -87,7 +105,7 @@ def median_heuristic(reference: "ReferenceSet") -> float:
     """
     n = reference.n
     n_pairs = n * (n - 1) // 2
-    if n_pairs > _MEDIAN_HEURISTIC_MAX_PAIRS:
+    if n_pairs > _MAX_PAIR_ENTRIES:
         raise ValueError(
             f"reference of size {n} too large for the exact median heuristic; "
             "pass an explicit bandwidth"

@@ -15,6 +15,7 @@ import numpy as np
 import scipy  # subpackages via attributes: each loads on first use, not at import
 
 from . import rng
+from .statistics import _check_count
 
 _FAMILIES = ("gaussian", "gaussian-mixture", "uniform")
 
@@ -149,8 +150,8 @@ def generate_chunk(
 
     Equals the corresponding slice of :func:`generate_stream` bitwise.
     """
-    if start < 1 or count < 1:
-        raise ValueError("start and count must be >= 1")
+    _check_count("start", start, 1)
+    _check_count("count", count, 1)
     key = rng.philox_key(master_seed, rng.LANE_STREAM, stream_id)
     u = rng.uniform_block(key, start - 1, count, model.words_per_index)
     cp = model.change_point
@@ -183,8 +184,7 @@ def draw_reference(
     dist: DistributionSpec, size: int, master_seed: int, stream_id: int = 0
 ) -> np.ndarray:
     """Reference draws, shape ``(size, dim)``, on the reference seed lane."""
-    if size < 1:
-        raise ValueError("size must be >= 1")
+    _check_count("size", size, 1)
     key = rng.philox_key(master_seed, rng.LANE_REFERENCE, stream_id)
     u = rng.uniform_block(key, 0, size, rng.words_needed(dist.raw_words))
     return dist.sample_from_uniforms(u)

@@ -15,6 +15,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .statistics import _check_count
+
 KINDS = ("identity", "model_output", "model_loss", "affine_projection")
 
 
@@ -39,8 +41,7 @@ class SummaryStatistic:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown summary kind {self.kind!r}; expected one of {KINDS}")
-        if self.out_dim < 1:
-            raise ValueError("out_dim must be a positive integer")
+        _check_count("out_dim", self.out_dim, 1)
         if self.kind in ("model_output", "model_loss") and self.model is None:
             raise ValueError(f"summary kind {self.kind!r} requires a model")
         if self.kind == "model_loss":

@@ -18,7 +18,10 @@ from seqshift import (
     null_model,
     permutation_threshold,
 )
+from seqshift import calibration
+from seqshift import rng as rng_mod
 from seqshift.calibration import high_order_statistic, required_streams
+from seqshift.statistics import _ks_from_counts
 
 
 class TestKsAsymptoticThreshold:
@@ -38,6 +41,8 @@ class TestKsAsymptoticThreshold:
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             ks_asymptotic_threshold(0, 10, 0.05)
+        with pytest.raises(ValueError, match="^n must be an integer, got 300.5"):
+            ks_asymptotic_threshold(300.5, 10, 0.05)
         with pytest.raises(ValueError):
             ks_asymptotic_threshold(10, 10, 1.5)
 
@@ -100,8 +105,6 @@ class TestPermutationThreshold:
             ref, w=10, alpha=0.5, n_perm=20, statistic="mmd", kernel=kernel, master_seed=2
         )
         # reproduce the permuted statistics with the plain implementation
-        from seqshift import rng as rng_mod
-
         gen = rng_mod.generator(2, rng_mod.LANE_PERMUTATION, 0)
         stats = []
         for _ in range(20):
@@ -115,9 +118,51 @@ class TestPermutationThreshold:
             high_order_statistic(np.array(stats), 0.5), rel=1e-9, abs=1e-12
         )
 
+    def test_ks_null_on_tied_data_is_the_oracle_bit_for_bit(self, rng, monkeypatch):
+        """Every permuted KS value, ranked by the engines' kernel, equals the
+        plain two-sort definition on a reference full of ties."""
+        ref = ReferenceSet(np.round(rng.normal(size=400), 1))
+        ranked = []
+        order_statistic = calibration.high_order_statistic
+        monkeypatch.setattr(
+            calibration, "high_order_statistic",
+            lambda stats, alpha: ranked.append(stats.copy()) or order_statistic(stats, alpha),
+        )
+        sched = permutation_threshold(ref, w=30, alpha=0.05, n_perm=300, master_seed=4)
+        gen = rng_mod.generator(4, rng_mod.LANE_PERMUTATION, 0)
+        want = np.empty(300)
+        for b in range(300):
+            perm = gen.permutation(400)
+            pseudo_ref = np.sort(ref.values[perm[30:], 0])
+            win = np.sort(ref.values[perm[:30], 0])
+            want[b] = _ks_from_counts(
+                pseudo_ref.searchsorted(win, "left"), pseudo_ref.searchsorted(win, "right"),
+                370, 30,
+            )
+        (got,) = ranked
+        assert got.tobytes() == want.tobytes()  # bits, signs of zeros included
+        assert sched.fixed_h == order_statistic(want, 0.05)
+
+    def test_mmd_null_refuses_a_kernel_matrix_over_budget(self, monkeypatch):
+        """The n x n kernel is refused before it is built, with its size."""
+        class Built(Exception):
+            pass
+
+        def build(kernel, X, Y):
+            raise Built(len(X))
+
+        monkeypatch.setattr(Kernel, "matrix", build)
+        args = dict(w=10, alpha=0.1, n_perm=100, statistic="mmd", kernel=Kernel("rbf", 1.0))
+        with pytest.raises(ValueError, match=r"10955\^2 x 8 bytes = 960,096,200 bytes"):
+            permutation_threshold(ReferenceSet(np.arange(10955.0)), **args)
+        with pytest.raises(Built):  # the largest admitted reference reaches the build
+            permutation_threshold(ReferenceSet(np.arange(10954.0)), **args)
+
     def test_preconditions(self, small_reference):
         with pytest.raises(ValueError, match="n_perm"):
             permutation_threshold(small_reference, w=10, alpha=0.01, n_perm=500)
+        with pytest.raises(ValueError, match="^n_perm must be an integer, got 400.0"):
+            permutation_threshold(small_reference, w=10, alpha=0.05, n_perm=400.0)
         with pytest.raises(ValueError, match="smaller"):
             permutation_threshold(small_reference, w=500, alpha=0.1, n_perm=200)
 
@@ -256,6 +301,18 @@ class TestCalibrateSchedule:
             calibrate_schedule(
                 small_reference, w=5, target=CalibrationTarget(alpha=0.2),
                 t_max=4, n_streams=100, min_survivors=10,
+            )
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("t_max", 40.0), ("n_streams", 500.0), ("min_survivors", 0), ("min_survivors", 20.5)],
+    )
+    def test_counts_are_named_when_refused(self, small_reference, name, value):
+        args = dict(t_max=40, n_streams=500, min_survivors=20)
+        args[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            calibrate_schedule(
+                small_reference, w=10, target=CalibrationTarget(alpha=0.01), **args
             )
 
 

@@ -246,8 +246,25 @@ class TestWindow:
         atoms = np.arange(4)
         engine = make_batch_engine("ks", small_reference, 3, 4)
         engine.push_column(small_reference.values[atoms], None, atoms=atoms)
-        with pytest.raises(RuntimeError, match="atoms"):
+        with pytest.raises(RuntimeError, match="only a one-row KS engine"):
             engine.values()
+
+    def test_many_row_value_fed_ks_engine_keeps_no_values(self, small_reference, rng):
+        """The Monte Carlo engines push values and must not allocate a ring."""
+        engine = make_batch_engine("ks", small_reference, 3, 4)
+        for _ in range(5):
+            engine.push_column(rng.normal(size=(4, 1)), None)
+        assert engine._values is None
+        with pytest.raises(RuntimeError, match="only a one-row KS engine"):
+            engine.values()
+
+    def test_one_row_atom_fed_ks_engine_keeps_its_atoms(self, small_reference):
+        """A one-row engine keeps its window whether it was fed values or atoms."""
+        engine = make_batch_engine("ks", small_reference, 3, 1)
+        for atom in (7, 3, 11, 5):
+            atoms = np.array([atom])
+            engine.push_column(small_reference.values[atoms], None, atoms=atoms)
+        assert np.array_equal(engine.values(), small_reference.values[[3, 11, 5]])
 
 
 class TestConfigValidation:

@@ -26,6 +26,7 @@ from seqshift import (
     ks_asymptotic_threshold,
     null_model,
 )
+from seqshift import evaluation
 from seqshift import run as run_detector
 from seqshift.evaluation import _lockstep_detection_times
 from seqshift.summaries import SummaryStatistic, identity, squared_error_loss
@@ -150,6 +151,47 @@ class TestEstimateArl0:
                 ChangePointModel(std_normal, shifted_normal, change_point),
                 master_seed=0, reference=small_reference, **counts,
             )
+
+    @pytest.mark.parametrize(
+        "estimate, change_point, name, value",
+        [(estimate, cp, name, value)
+         for estimate, cp in ((estimate_arl0, math.inf), (estimate_delay, 20))
+         for name, value in (("workers", 0), ("workers", -1), ("reference_size", 300.5))]
+        + [(estimate_arl0, math.inf, "lam", 2.5), (estimate_arl0, math.inf, "lam", 0)],
+    )
+    def test_arguments_are_named_when_refused(
+        self, estimate, change_point, name, value, std_normal, shifted_normal
+    ):
+        args = dict(n_runs=3, cap=100, workers=1, reference_spec=std_normal, reference_size=300)
+        args[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            estimate(
+                fixed_threshold(0.5, w=5),
+                ChangePointModel(std_normal, shifted_normal, change_point),
+                master_seed=0, **args,
+            )
+
+    @pytest.mark.parametrize("statistic, h", [("ks", 0.3), ("mean_diff", 0.4)])
+    def test_a_lone_run_is_a_sliding_scan(
+        self, statistic, h, std_normal, small_reference, monkeypatch
+    ):
+        """A lone ks / mean_diff run on a shared reference takes the scan,
+        looked up in the module's globals, and detects when a detector does."""
+        scan = f"sliding_{statistic}_stats"
+        calls = []
+        original = getattr(evaluation, scan)
+        monkeypatch.setattr(evaluation, scan, lambda *args: calls.append(1) or original(*args))
+        schedule = fixed_threshold(h, w=20)
+        model = ChangePointModel(std_normal, DistributionSpec.gaussian(0.8, 1.0), 300)
+        config = DetectorConfig(small_reference, schedule, 20, statistic)
+        for seed in range(4):
+            report = estimate_delay(
+                schedule, model, n_runs=1, cap=2000, master_seed=seed,
+                statistic=statistic, reference=small_reference,
+            )
+            result = run_detector(config, generate_stream(model, 2000, seed), cap=2000)
+            assert report.runs[0][1] == (-1 if result.censored else result.detection_time)
+        assert len(calls) >= 4
 
     def test_lambda_probability(self, std_normal, small_reference):
         report = estimate_arl0(

@@ -345,6 +345,8 @@ class TestReferenceSet:
         # both make every MMD^2 exactly 0, so a detector could never fire
         with pytest.raises(ValueError, match="finite bandwidth"):
             Kernel("rbf", bandwidth=float("inf"))
+        with pytest.raises(ValueError, match="bandwidth > 0, got True"):
+            Kernel("rbf", True)
         for kind in ("polynomial", "constant"):
             with pytest.raises(ValueError, match="unknown kernel"):
                 Kernel(kind)

@@ -148,6 +148,17 @@ class TestGeneration:
         with pytest.raises(ValueError):
             generate_chunk(model, 1, 0, 1)
 
+    @pytest.mark.parametrize(
+        "call, name",
+        [(lambda model: generate_chunk(model, 1.0, 10, 1), "start"),
+         (lambda model: generate_chunk(model, 1, 10.0, 1), "count"),
+         (lambda model: draw_reference(model.pre, 10.0, 1), "size")],
+        ids=["start", "count", "size"],
+    )
+    def test_float_sizes_are_named(self, std_normal, call, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got 10?.0"):
+            call(null_model(std_normal))
+
 
 class TestStreamFiles:
     def test_round_trip(self, tmp_path, rng):

@@ -72,6 +72,11 @@ class TestApplySummary:
         with pytest.raises(ValueError, match="shape"):
             apply_summary(stat, [1.0])
 
+    @pytest.mark.parametrize("out_dim", [2.5, 0, True])
+    def test_out_dim_must_be_a_positive_integer(self, out_dim):
+        with pytest.raises(ValueError, match="^out_dim must be "):
+            SummaryStatistic(kind="identity", out_dim=out_dim)
+
 
 class TestApplySummaryRows:
     @pytest.mark.parametrize("kind", ["identity", "affine_projection", "model_output", "model_loss"])
