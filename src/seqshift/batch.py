@@ -30,6 +30,14 @@ calibration and the harness allocate no value ring.  KS state is
 both halves of the statistic, bit for bit the plain definition
 (:func:`ks_stats_from_count_rows` gives the argument).
 
+Each engine states ``max_step(w)``, the most one push can move a row's
+statistic: 1/w for KS (:meth:`BatchKsEngine.max_step` gives the argument),
+``inf`` for mean_diff and MMD.  The three consumers that compare rows with a
+threshold (calibration, the lockstep Monte Carlo and the harness's KS scan,
+which passes ``windows`` to :func:`sliding_ks_stats`) keep each row's last
+computed statistic and skip the kernel for rows this bound keeps clear of the
+threshold; with ``inf`` they compute every row.
+
 :func:`check_statistic` is the one statement of each statistic's rules;
 the engines, the detector, calibration, the Monte Carlo harness and the
 CLI call it rather than restate them.
@@ -38,6 +46,7 @@ CLI call it rather than restate them.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from typing import Optional
 
@@ -98,16 +107,19 @@ def ks_stats_from_count_rows(counts: np.ndarray, n: int, w: int) -> np.ndarray:
     return out
 
 
-def sliding_ks_stats(buf: np.ndarray, reference: ReferenceSet, w: int) -> np.ndarray:
-    """KS statistics for every size-w sliding window over ``buf``.
+def sliding_ks_stats(
+    buf: np.ndarray, reference: ReferenceSet, w: int, windows: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """KS statistics for the size-w sliding windows over ``buf``.
 
-    ``buf`` holds w - 1 carried values followed by the chunk's new values;
-    the result has one statistic per new value.
+    ``buf`` holds w - 1 carried values followed by the chunk's new values,
+    and window j ends at new value j.  The result has one statistic per new
+    value, or, given ``windows`` (window indices), one per listed window.
     """
     left, right = reference.cdf_counts(buf)
     counts = np.stack((right, -left), dtype=np.int32)  # int32 sorts faster than intp
-    windows = np.lib.stride_tricks.sliding_window_view(counts, w, axis=1)
-    return ks_stats_from_count_rows(windows.swapaxes(0, 1), reference.n, w)
+    rows = np.lib.stride_tricks.sliding_window_view(counts, w, axis=1).swapaxes(0, 1)
+    return ks_stats_from_count_rows(rows if windows is None else rows[windows], reference.n, w)
 
 
 def sliding_mean_diff_stats(
@@ -116,6 +128,12 @@ def sliding_mean_diff_stats(
     """Mean-difference statistics for every size-w sliding window over ``buf``."""
     windows = np.lib.stride_tricks.sliding_window_view(buf, w)
     return reference.scalar_mean - np.sum(windows, axis=1) / w
+
+
+def _unbounded_step(w: int) -> float:
+    """No bound on how far one push moves the statistic: consumers compute
+    every row at every step."""
+    return math.inf
 
 
 class BatchKsEngine(_WindowRing):
@@ -134,6 +152,21 @@ class BatchKsEngine(_WindowRing):
         self.reference = reference
         self._counts = np.zeros((n_streams, 2, w), dtype=np.int32)
         self._values = np.zeros((w, 1), dtype=np.float64) if n_streams == 1 else None
+
+    @staticmethod
+    def max_step(w: int) -> float:
+        """The most one push can move a row's KS statistic: 1/w.
+
+        The statistic is the sup-norm distance between the reference ECDF
+        and the window ECDF (:func:`ks_stats_from_count_rows` evaluates the
+        sup exactly, ties included).  One push replaces one of the w window
+        points, which moves the window ECDF by at most 1/w at every point
+        and leaves the reference ECDF unchanged, so by the triangle
+        inequality the distance moves by at most 1/w.  After k pushes a row
+        computed at d lies in d +- k/w; consumers add 1e-9 for float error
+        (one statistic is off by about 4e-16).
+        """
+        return 1.0 / w
 
     def push_column(
         self, col: np.ndarray, active: Optional[np.ndarray], atoms: Optional[np.ndarray] = None
@@ -173,6 +206,8 @@ class BatchMeanDiffEngine(_WindowRing):
     contiguous slice in arrival order and is summed in the order the
     sliding scan uses.
     """
+
+    max_step = staticmethod(_unbounded_step)
 
     def __init__(self, reference: ReferenceSet, w: int, n_streams: int):
         super().__init__(w)
@@ -237,6 +272,7 @@ class BatchMmdEngine(_WindowRing):
     """
 
     _REFRESH_EVERY = 10_000
+    max_step = staticmethod(_unbounded_step)
 
     def __init__(self, reference: ReferenceSet, w: int, n_streams: int, kernel: Kernel):
         super().__init__(w)

@@ -198,8 +198,15 @@ def high_order_statistic(values: np.ndarray, alpha: float) -> float:
     m = values.shape[0]
     if m == 0:
         raise ValueError("no values to take an order statistic of")
-    k = math.ceil((1.0 - alpha) * m - 1e-9)
-    k = min(max(k, 1), m)
+    return _kth_smallest(values, _order_rank(m, alpha))
+
+
+def _order_rank(m: int, alpha: float) -> int:
+    """The rank k = ceil((1 - alpha) * m) of :func:`high_order_statistic`, in 1..m."""
+    return min(max(math.ceil((1.0 - alpha) * m - 1e-9), 1), m)
+
+
+def _kth_smallest(values: np.ndarray, k: int) -> float:
     return float(np.partition(values, k - 1)[k - 1])
 
 
@@ -319,7 +326,12 @@ def calibrate_schedule(
     table that it builds per call with ``Kernel.rowwise``, and frees with
     itself, for references of up to 2896 atoms (64 MiB); larger ones
     evaluate the kernel per pushed point, as the detector does.  Either
-    way the schedule has the same bytes.
+    way the schedule has the same bytes.  From the second test step on, a
+    row whose bound from the engine's ``max_step`` (1/w per push for KS,
+    stated at ``batch.BatchKsEngine.max_step``; none for mean_diff and
+    MMD) keeps it below the k-th smallest lower bound is strictly below the
+    threshold, so it survives without being computed; the threshold is the
+    same order statistic of the computed rows, shifted by the skipped count.
 
     Raises if the surviving-stream count falls (or is bound to fall) below
     ``min_survivors`` before ``t_max``; the message carries the sizing
@@ -347,11 +359,16 @@ def calibrate_schedule(
         atoms = draws[:, j]
         engine.push_column(reference.values[atoms], None, atoms=atoms)
 
+    step = engine.max_step(w)
     active = np.arange(n_streams)
+    # each live row's last computed statistic and its step; -inf: never computed
+    last = np.zeros(n_streams, dtype=np.float64)
+    since = np.full(n_streams, -np.inf)
     values = np.empty(t_max - w + 1, dtype=np.float64)
     survivor_counts = np.empty(t_max - w + 1, dtype=np.int64)
     for t in range(w, t_max + 1):
-        if active.shape[0] < min_survivors:
+        m = active.shape[0]
+        if m < min_survivors:
             raise ValueError(
                 f"surviving streams fell below the floor ({min_survivors}) at step "
                 f"{t}; size the simulation with n_streams >= ceil(min_survivors / "
@@ -359,10 +376,20 @@ def calibrate_schedule(
             )
         atoms = draws[:, t - 1]
         engine.push_column(reference.values[atoms], active, atoms=atoms)
-        stats = engine.statistics(active)
-        h = high_order_statistic(stats, alpha)
+        # the threshold is at least L, the k-th smallest lower bound, so a row
+        # whose upper bound is below L survives and is not computed; the
+        # threshold is then the (k - skipped)-th smallest computed statistic
+        slack = (t - since) * step + 1e-9
+        k = _order_rank(m, alpha)
+        computed = np.flatnonzero(last + slack >= _kth_smallest(last - slack, k))
+        stats = engine.statistics(active[computed])
+        h = _kth_smallest(stats, k - (m - computed.shape[0]))
         values[t - w] = h
-        active = active[stats <= h]
+        last[computed] = stats
+        since[computed] = t
+        keep = np.ones(m, dtype=bool)
+        keep[computed[stats > h]] = False
+        active, last, since = active[keep], last[keep], since[keep]
         survivor_counts[t - w] = active.shape[0]
 
     if diagnostics is not None:

@@ -10,7 +10,13 @@ per run.  A lone ks / mean_diff run is a vectorized sliding scan; any
 other group is the rows of one lockstep engine, the engine a deployed
 detector steps: blocks of streams are drawn and summarised together, each
 step pushes one column, and rows above the threshold drop out, as in
-calibration.  Every run's randomness is derived from (master seed, run
+calibration.  Both paths skip the kernel where the engine's ``max_step``
+bound (1/w per push for KS, ``batch.BatchKsEngine.max_step``; none for
+mean_diff and MMD) shows the statistic cannot exceed the threshold: a
+lockstep row is computed only when its last computed statistic plus the
+bound reaches the threshold, and a KS scan computes a grid of windows and
+then only the gap windows whose bound from the neighbouring grid windows
+reaches it.  Every run's randomness is derived from (master seed, run
 index), so reports are bitwise independent of how runs are grouped and of
 the worker count.  No module state: concurrent calls cannot see each
 other's references, and runs come back in run-id order.
@@ -29,7 +35,7 @@ import numpy as np
 import scipy  # subpackages via attributes: each loads on first use, not at import
 
 from . import streams
-from .batch import make_batch_engine, sliding_ks_stats, sliding_mean_diff_stats
+from .batch import BatchKsEngine, make_batch_engine, sliding_ks_stats, sliding_mean_diff_stats
 from .calibration import ThresholdSchedule
 from .detector import DetectorConfig
 from .statistics import KS, MEAN_DIFF, Kernel, ReferenceSet, _check_count, _is_a
@@ -146,17 +152,26 @@ def _lockstep_detection_times(
     """Detection times (None when censored) of runs ``run_ids``, each a row
     of one engine.
 
-    Every step pushes one column, reads the live rows' statistics, and
-    drops the rows above the threshold.  The engines' per-row expressions
-    do not depend on the number of rows, so each time equals a lone
-    detector's on the same stream, whatever runs share the engine.
+    Every step pushes one column, computes the statistics of the live rows
+    that the engine's ``max_step`` bound lets reach the threshold, and drops
+    the rows above it.  The engines' per-row expressions do not depend on
+    the number of rows, so each time equals a lone detector's on the same
+    stream, whatever runs share the engine.
     """
     rows = len(run_ids)
     engine = make_batch_engine(
         config.statistic, config.reference, config.window_size, rows, config.kernel
     )
+    step = engine.max_step(config.window_size)
+    bounded = step < math.inf
     times: List[Optional[int]] = [None] * rows
     active = np.arange(rows)  # engine rows still running
+    # a row computed at d on step s stays below d + (t - s) * step + 1e-9 at
+    # step t, so it is computed again only once reach = d - s * step + 1e-9
+    # exceeds threshold - t * step: one comparison a step, whose rounding
+    # (a few ulps of t / w) stays far inside 1e-9 for t < 10^6 w.  +inf:
+    # never computed.  Engines without a bound compute every live row.
+    reach = np.full(rows, np.inf)
     col = np.zeros((rows, config.reference.dim), dtype=np.float64)
     for t0, count in _stream_blocks(1, cap):
         block = _summary_block(
@@ -170,14 +185,67 @@ def _lockstep_detection_times(
             threshold = config.schedule.threshold_at(t)
             if threshold is None:
                 continue
-            hit = engine.statistics(active) > threshold
-            if hit.any():
+            if bounded:
+                computed = np.flatnonzero(reach > threshold - t * step)
+                if not computed.size:
+                    continue
+                stats = engine.statistics(active[computed])
+                reach[computed] = stats + (1e-9 - t * step)
+                hit = computed[stats > threshold]
+            else:
+                hit = np.flatnonzero(engine.statistics(active) > threshold)
+            if hit.size:
                 for row in active[hit]:
                     times[row] = t
-                active, live = active[~hit], live[~hit]
+                active, live, reach = (np.delete(a, hit) for a in (active, live, reach))
                 if not active.size:
                     return times
     return times
+
+
+def _first_true(above: np.ndarray) -> int:
+    """Index of the first True in ``above``, or its length if none is."""
+    return int(np.argmax(above)) if above.any() else above.shape[0]
+
+
+def _first_ks_hit(
+    buf: np.ndarray, reference: ReferenceSet, w: int, thresholds: np.ndarray
+) -> int:
+    """Index of the first window of a scan block whose KS statistic exceeds
+    its threshold, or the block's window count if none does.
+
+    Computes a grid of windows ``max(1, w // 16)`` apart plus the last one
+    (every window below w = 32).  A gap window j between grid windows a and
+    b lies within ``min(d_a + (j - a) * step, d_b + (b - j) * step)``
+    (``BatchKsEngine.max_step``), so only the gap windows before the first
+    grid hit whose bound reaches the threshold are computed.  Both calls go
+    through this module's ``sliding_ks_stats``, where a tracer may wrap it.
+    """
+    count = thresholds.shape[0]
+    spacing = max(1, w // 16)
+    if spacing == 1:
+        return _first_true(sliding_ks_stats(buf, reference, w) > thresholds)
+    grid = np.append(np.arange(0, count - 1, spacing), count - 1)
+    d = sliding_ks_stats(buf, reference, w, grid)
+    hits = grid[d > thresholds[grid]]
+    first = int(hits[0]) if hits.size else count
+    gap = np.ones(first, dtype=bool)
+    gap[grid[grid < first]] = False
+    j = np.flatnonzero(gap)
+    if j.size:
+        step = BatchKsEngine.max_step(w)
+        pos = np.searchsorted(grid, j)  # grid[pos - 1] < j < grid[pos]
+        bound = np.minimum(
+            d[pos - 1] + (j - grid[pos - 1]) * step, d[pos] + (grid[pos] - j) * step
+        ) + 1e-9
+        j = j[bound > thresholds[j]]
+        if j.size:
+            # search only the values these windows cover
+            part = buf[j[0] : j[-1] + w]
+            hits = j[sliding_ks_stats(part, reference, w, j - j[0]) > thresholds[j]]
+            if hits.size:
+                first = int(hits[0])
+    return first
 
 
 def _block_detection_times(
@@ -209,16 +277,19 @@ def _block_detection_times(
             times += _lockstep_detection_times(group, model, cap, master_seed, ids)
             continue
         w = group.window_size
-        scan = sliding_ks_stats if group.statistic == KS else sliding_mean_diff_stats
         summaries = functools.partial(
             _summary_block, group.summary, model, master_seed=master_seed, run_ids=ids
         )
         carry = summaries(1, w - 1)[:, 0, 0] if w > 1 else np.empty(0)
         for t0, count in _stream_blocks(w, cap):
             buf = np.concatenate((carry, summaries(t0, count)[:, 0, 0]))
-            hits = scan(buf, group.reference, w) > group.schedule.thresholds_for_range(t0, count)
-            if hits.any():
-                times.append(t0 + int(np.argmax(hits)))
+            thresholds = group.schedule.thresholds_for_range(t0, count)
+            if group.statistic == KS:
+                hit = _first_ks_hit(buf, group.reference, w, thresholds)
+            else:
+                hit = _first_true(sliding_mean_diff_stats(buf, group.reference, w) > thresholds)
+            if hit < count:
+                times.append(t0 + hit)
                 break
             carry = buf[count:]
         else:

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .statistics import _check_count
+
 # Seed-derivation lanes keep independent uses of the master seed from
 # colliding (deployment streams, reference draws, calibration bootstrap,
 # permutation shuffles).
@@ -29,7 +31,13 @@ _MIN_UNIFORM = 1e-300
 
 
 def philox_key(master_seed: int, lane: int, stream_id: int) -> np.ndarray:
-    """Derive a 128-bit Philox key for one (lane, stream) pair."""
+    """Derive a 128-bit Philox key for one (lane, stream) pair.
+
+    Each part must be an integer >= 0 (bool refused, numpy integers
+    accepted): truncating 1.5 or True to 1 would replay seed 1's draws.
+    """
+    for name, value in (("master_seed", master_seed), ("lane", lane), ("stream_id", stream_id)):
+        _check_count(name, value, 0)
     ss = np.random.SeedSequence(entropy=(int(master_seed), int(lane), int(stream_id)))
     return ss.generate_state(2, np.uint64)
 

@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from seqshift import ChangePointModel, DistributionSpec, generate_stream, null_model, sample_at
+from seqshift import (
+    ChangePointModel,
+    DistributionSpec,
+    estimate_arl0,
+    fixed_threshold,
+    generate_stream,
+    null_model,
+    rng,
+    sample_at,
+)
 from seqshift.streams import draw_reference, generate_chunk, load_stream_file, save_stream_file
 
 
@@ -158,6 +167,40 @@ class TestGeneration:
     def test_float_sizes_are_named(self, std_normal, call, name):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got 10?.0"):
             call(null_model(std_normal))
+
+
+class TestSeeds:
+    """A seed is an integer >= 0: truncating 1.5 or True to 1 would replay
+    seed 1's streams under another seed's name."""
+
+    @pytest.mark.parametrize("bad, message", [
+        (1.5, "must be an integer, got 1.5"),
+        (True, "must be an integer, got True"),
+        ("1", "must be an integer, got '1'"),
+        (-1, "must be >= 0, got -1"),
+    ], ids=["float", "bool", "str", "negative"])
+    @pytest.mark.parametrize("name", ["master_seed", "lane", "stream_id"])
+    def test_keys_refuse_non_integer_and_negative_parts(self, name, bad, message):
+        parts = {"master_seed": 1, "lane": 0, "stream_id": 2, name: bad}
+        for derive in (rng.philox_key, rng.generator):
+            with pytest.raises(ValueError, match=f"^{name} {message}$"):
+                derive(**parts)
+
+    def test_callers_are_refused_by_name(self, std_normal, small_reference):
+        model = null_model(std_normal)
+        with pytest.raises(ValueError, match="^master_seed must be an integer, got 1.5$"):
+            generate_chunk(model, 1, 3, 1.5)
+        with pytest.raises(ValueError, match="^stream_id must be an integer, got True$"):
+            draw_reference(std_normal, 10, 0, True)
+        with pytest.raises(ValueError, match="^master_seed must be an integer, got 2.5$"):
+            estimate_arl0(fixed_threshold(0.5, w=5), model, n_runs=2, cap=20,
+                          master_seed=2.5, reference=small_reference)
+
+    def test_numpy_integers_keep_the_plain_integers_bytes(self):
+        assert np.array_equal(
+            rng.philox_key(np.int64(3), np.uint8(1), np.int32(5)), rng.philox_key(3, 1, 5)
+        )
+        assert rng.generator(np.uint64(7), 0, 0).random() == rng.generator(7, 0, 0).random()
 
 
 class TestStreamFiles:
